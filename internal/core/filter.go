@@ -7,17 +7,13 @@
 // writer policy (round robin, weighted round robin, or demand driven).
 //
 // The package contains the engine-neutral model (Graph, Placement, Policy,
-// Filter) and a real execution engine backed by goroutines and channels.
-// The same model runs unchanged on a simulated heterogeneous cluster via
-// internal/simrt.
+// Filter) and the real execution engine: goroutines and Go channels plugged
+// into the copy-set runtime of internal/exec. The same model runs unchanged
+// on a simulated heterogeneous cluster via internal/simrt and across
+// processes via internal/dist.
 package core
 
-import (
-	"fmt"
-
-	"datacutter/internal/exec"
-	"datacutter/internal/obs"
-)
+import "datacutter/internal/exec"
 
 // Buffer is the unit of data carried by a stream: a fixed-size container
 // written by a producer filter and consumed by exactly one copy of the
@@ -28,83 +24,18 @@ import (
 // stream-writer runtime moves.
 type Buffer = exec.Buffer
 
-// Filter is a user-defined component. The runtime drives each copy of a
-// filter through work cycles (units of work): Init, then Process until all
-// input streams reach end-of-work, then Finalize.
-type Filter interface {
-	// Init prepares per-unit-of-work resources (e.g. allocates a z-buffer)
-	// and may declare stream buffer sizes via ctx.DeclareBuffer.
-	Init(ctx Ctx) error
-	// Process reads buffers from input streams and writes buffers to output
-	// streams. It must return once every input stream has reported
-	// end-of-work (Read returned ok == false); source filters return once
-	// they have produced all their data.
-	Process(ctx Ctx) error
-	// Finalize releases unit-of-work resources and may emit final results
-	// (a combine filter typically writes or stores its merged output here).
-	Finalize(ctx Ctx) error
-}
+// Filter is a user-defined component driven through work cycles (Init,
+// Process until end-of-work, Finalize); see exec.Filter.
+type Filter = exec.Filter
 
-// ObserverSetter is an optional Filter extension. A filter that owns an
-// instrumented subsystem — e.g. a dataset.Store whose predicate pruning
-// publishes chunks-pruned/bytes-skipped metrics — implements it to receive
-// the engine's observer. Engines invoke it once per copy at instantiation,
-// before any work cycle; the argument may be nil (observability disabled).
-type ObserverSetter interface {
-	SetObserver(o *obs.Observer)
-}
+// ObserverSetter is an optional Filter extension that receives the engine's
+// observer at instantiation; see exec.ObserverSetter.
+type ObserverSetter = exec.ObserverSetter
 
-// attachObserver hands o to f when f opts in via ObserverSetter.
-func attachObserver(f Filter, o *obs.Observer) {
-	if s, ok := f.(ObserverSetter); ok {
-		s.SetObserver(o)
-	}
-}
-
-// Ctx is the runtime interface handed to a filter copy. It is implemented
-// by both the real engine (this package) and the simulated engine
-// (internal/simrt), so a filter written against Ctx runs on either.
-type Ctx interface {
-	// Read dequeues the next buffer from the named input stream, blocking
-	// until one is available. ok is false when the stream has reached
-	// end-of-work (all producer copies finished and the queue drained) or
-	// the run was cancelled.
-	Read(stream string) (b Buffer, ok bool)
-	// Write sends a buffer on the named output stream. The runtime selects
-	// the destination copy set using the stream's writer policy. It blocks
-	// while the destination queue is full and returns an error only if the
-	// run was cancelled.
-	Write(stream string, b Buffer) error
-
-	// Compute charges `refSeconds` seconds of reference-CPU work. On the
-	// real engine this is a no-op (the work is the real computation the
-	// filter just did); on the simulated engine it advances virtual time
-	// under the host's processor-sharing CPU model.
-	Compute(refSeconds float64)
-	// ChargeDisk charges a read of `bytes` from the host's disk `disk`
-	// (modulo the host's disk count). No-op on the real engine.
-	ChargeDisk(disk int, bytes int)
-
-	// DeclareBuffer discloses the minimum and optional maximum buffer size
-	// (bytes) the filter wants for a stream; the runtime chooses the actual
-	// size within those bounds. maxBytes <= 0 means unbounded. Valid in
-	// Init.
-	DeclareBuffer(stream string, minBytes, maxBytes int)
-	// BufferBytes returns the buffer size the runtime chose for a stream.
-	BufferBytes(stream string) int
-
-	// Host returns the name of the host this copy runs on.
-	Host() string
-	// CopyIndex returns this copy's global index in [0, TotalCopies).
-	CopyIndex() int
-	// TotalCopies returns the number of transparent copies of this filter.
-	TotalCopies() int
-	// UOW returns the zero-based index of the current unit of work.
-	UOW() int
-	// Work returns the application-supplied descriptor for the current
-	// unit of work (Options.UOWs entry), e.g. a timestep + view parameters.
-	Work() any
-}
+// Ctx is the runtime interface handed to a filter copy. Every engine uses
+// the shared copy-set runtime's implementation (exec.CopyCtx), so a filter
+// written against Ctx runs on any of them.
+type Ctx = exec.Ctx
 
 // BaseFilter provides no-op Init and Finalize so simple filters only
 // implement Process.
@@ -118,4 +49,4 @@ func (BaseFilter) Finalize(Ctx) error { return nil }
 
 // ErrCancelled is returned by Ctx.Write when the run has been aborted
 // (another filter failed).
-var ErrCancelled = fmt.Errorf("core: run cancelled")
+var ErrCancelled = exec.ErrCancelled

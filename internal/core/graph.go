@@ -3,19 +3,17 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 )
 
 // FilterFactory creates one filter instance per transparent copy.
 type FilterFactory func() Filter
 
-// StreamSpec is a logical unidirectional stream between two filters. The
-// runtime maintains the illusion of a single point-to-point pipe even when
-// either endpoint is transparently copied.
-type StreamSpec struct {
-	Name string // unique stream name, used by Ctx.Read/Write
-	From string // producer filter name
-	To   string // consumer filter name
-}
+// StreamSpec is a logical unidirectional stream between two filters; see
+// exec.StreamSpec.
+type StreamSpec = exec.StreamSpec
 
 // Graph is the application processing structure: named filters connected by
 // streams. Graphs must be acyclic.
@@ -73,28 +71,6 @@ func (g *Graph) Streams() []StreamSpec {
 
 // Factory returns the factory for a filter name.
 func (g *Graph) Factory(name string) FilterFactory { return g.filters[name] }
-
-// Inputs returns the streams consumed by the named filter.
-func (g *Graph) Inputs(name string) []StreamSpec {
-	var in []StreamSpec
-	for _, s := range g.streams {
-		if s.To == name {
-			in = append(in, s)
-		}
-	}
-	return in
-}
-
-// Outputs returns the streams produced by the named filter.
-func (g *Graph) Outputs(name string) []StreamSpec {
-	var out []StreamSpec
-	for _, s := range g.streams {
-		if s.From == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // Validate checks that every stream endpoint exists and the graph is
 // acyclic.
@@ -213,6 +189,19 @@ func (p *Placement) Hosts() []string {
 	}
 	sort.Strings(hosts)
 	return hosts
+}
+
+// Entries returns the placement as engine-neutral entries, in graph filter
+// order then host order: the copy-set layout the runtime instantiates and a
+// scale schedule mutates.
+func (p *Placement) Entries(g *Graph) []elastic.Entry {
+	var out []elastic.Entry
+	for _, name := range g.Filters() {
+		for _, e := range p.entries[name] {
+			out = append(out, elastic.Entry{Filter: name, Host: e.Host, Copies: e.Copies})
+		}
+	}
+	return out
 }
 
 // Validate checks that every filter in the graph is placed somewhere.

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,21 +15,32 @@ import (
 // cancelRecordingSource writes n ints and records the first Write error, so
 // tests can assert the distributed engine's cancellation contract: a
 // producer blocked on a same-host queue (or sending to a failed session)
-// gets core.ErrCancelled, not a hang.
+// gets core.ErrCancelled, not a hang. The error is read by the test after
+// Run returns; the worker reports the failure over TCP, an ordering the race
+// detector cannot see, so the field is mutex-guarded.
 type cancelRecordingSource struct {
 	core.BaseFilter
 	n    int
+	mu   sync.Mutex
 	werr error
 }
 
 func (s *cancelRecordingSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
 		if err := ctx.Write("ints", core.Buffer{Payload: i, Size: 8}); err != nil {
+			s.mu.Lock()
 			s.werr = err
+			s.mu.Unlock()
 			return err
 		}
 	}
 	return nil
+}
+
+func (s *cancelRecordingSource) writeErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.werr
 }
 
 func init() {
@@ -73,8 +85,8 @@ func TestDistributedLocalWriteCancelled(t *testing.T) {
 		t.Fatalf("run error = %v: application error must win over the cancellation it caused", err)
 	}
 	src := workers["host0"].Instances("S")[0].(*cancelRecordingSource)
-	if !errors.Is(src.werr, core.ErrCancelled) {
-		t.Fatalf("source write error = %v, want core.ErrCancelled", src.werr)
+	if werr := src.writeErr(); !errors.Is(werr, core.ErrCancelled) {
+		t.Fatalf("source write error = %v, want core.ErrCancelled", werr)
 	}
 }
 

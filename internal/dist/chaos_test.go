@@ -22,9 +22,9 @@ import (
 )
 
 // Chaos tests: deterministic fault injection (internal/faults) against the
-// full detection → abort → replan → retry machinery. The CI chaos job runs
-// exactly these (-run 'TestChaos') under the race detector and archives the
-// coordinator metrics dumps on failure.
+// full detection → abort → replan → retry machinery. CI's test job runs
+// them with the rest of the race suite and archives the coordinator metrics
+// dumps on failure.
 
 // startChaosWorkers is startWorkers with per-host fault plans installed
 // before Serve (SetFaults must precede the first accepted connection).
@@ -55,7 +55,7 @@ func startChaosWorkers(t *testing.T, n int, plans map[string]string) (map[string
 
 // coordObserver builds a coordinator-side observer over a fresh registry and
 // arranges for the registry to be dumped to $CHAOS_METRICS_DIR at cleanup
-// (the CI chaos job archives that directory when the job fails).
+// (the CI test job archives that directory when it fails).
 func coordObserver(t *testing.T) (*obs.Observer, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -81,16 +81,14 @@ func coordObserver(t *testing.T) (*obs.Observer, *obs.Registry) {
 	return obs.New(nil, reg), reg
 }
 
-// chaosSuicideTarget is the worker the suicide source kills mid-write; set
-// by the test before the run (builders are registered once in init).
-var chaosSuicideTarget *dist.Worker
-
-// suicideSource writes n ints on stream "b", killing chaosSuicideTarget
-// after the second write. On a retried unit of work the target is already
-// dead (Kill is idempotent), so the replanned copy completes the stream.
+// suicideSource writes n ints on stream "b", killing its victim worker
+// (Params: n, then the victim's address; see registerVictim) after the
+// second write. On a retried unit of work the victim is already dead (Kill
+// is idempotent), so the replanned copy completes the stream.
 type suicideSource struct {
 	core.BaseFilter
 	n int
+	w *dist.Worker
 }
 
 func (s *suicideSource) Process(ctx core.Ctx) error {
@@ -98,8 +96,8 @@ func (s *suicideSource) Process(ctx core.Ctx) error {
 		if err := ctx.Write("b", core.Buffer{Payload: i, Size: 8}); err != nil {
 			return err
 		}
-		if i == 1 && chaosSuicideTarget != nil {
-			chaosSuicideTarget.Kill()
+		if i == 1 && s.w != nil {
+			s.w.Kill()
 		}
 	}
 	return nil
@@ -132,7 +130,7 @@ func (s *twoStreamSink) Process(ctx core.Ctx) error {
 
 func init() {
 	dist.RegisterFilter("test.suicidesrc", func(params []byte) (core.Filter, error) {
-		return &suicideSource{n: int(params[0])}, nil
+		return &suicideSource{n: int(params[0]), w: victim(params[1:])}, nil
 	})
 	dist.RegisterFilter("test.twosink", func([]byte) (core.Filter, error) {
 		return &twoStreamSink{}, nil
@@ -149,12 +147,11 @@ func init() {
 func TestChaosDeadHostDetectedWhileGatherWaitsElsewhere(t *testing.T) {
 	leakcheck.Check(t)
 	addrs, workers := startChaosWorkers(t, 3, nil)
-	chaosSuicideTarget = workers["host2"]
 	const n = 30
 	g := dist.GraphSpec{
 		Filters: []dist.FilterSpec{
 			{Name: "S1", Kind: "test.source", Params: []byte{n}},
-			{Name: "S2", Kind: "test.suicidesrc", Params: []byte{n}},
+			{Name: "S2", Kind: "test.suicidesrc", Params: append([]byte{n}, registerVictim(t, workers["host2"])...)},
 			{Name: "K", Kind: "test.twosink"},
 		},
 		Streams: []core.StreamSpec{

@@ -3,12 +3,14 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"datacutter/internal/core"
 	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 	"datacutter/internal/obs"
 )
 
@@ -83,21 +85,21 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.Policy != "" && core.PolicyByName(opts.Policy) == nil {
-		return nil, fmt.Errorf("dist: unknown policy %q", opts.Policy)
-	}
-	for stream, name := range opts.StreamPolicy {
-		if core.PolicyByName(name) == nil {
-			return nil, fmt.Errorf("dist: unknown policy %q for stream %q", name, stream)
-		}
+	if _, err := exec.ParsePolicies(opts.Policy, opts.StreamPolicy); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	for _, e := range placement {
 		if _, ok := addrs[e.Host]; !ok {
 			return nil, fmt.Errorf("dist: placement host %q has no worker address", e.Host)
 		}
 	}
-	if err := validateSchedule(spec, addrs, opts.ScaleSchedule); err != nil {
-		return nil, err
+	filters := make([]string, len(spec.Filters))
+	for i, f := range spec.Filters {
+		filters[i] = f.Name
+	}
+	hostOK := func(h string) bool { _, ok := addrs[h]; return ok }
+	if err := elastic.ValidateSchedule(filters, opts.ScaleSchedule, hostOK); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 
 	if ctx == nil {
@@ -111,7 +113,7 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 		addrs:     make(map[string]string, len(addrs)),
 		placement: placement,
 		links:     make(map[string]*hostLink, len(addrs)),
-		agg:       newAggStats(spec),
+		agg:       newAggStats(spec, filters),
 	}
 	for h, a := range addrs {
 		co.addrs[h] = a
@@ -419,37 +421,21 @@ func (co *coordinator) runUOW(idx int, work any) error {
 	if err := co.broadcast(&frame{Kind: kindInitUOW, UOW: &uowMsg{Index: idx, Work: raw}}); err != nil {
 		return err
 	}
-	decls := map[string][2]int{}
+	decls := map[string]exec.BufferDecl{}
 	err := co.gather("init", func(host string, f *frame) {
 		for stream, d := range f.Decls {
 			cur := decls[stream]
-			if d[0] > cur[0] {
-				cur[0] = d[0]
-			}
-			if d[1] > 0 && (cur[1] == 0 || d[1] < cur[1]) {
-				cur[1] = d[1]
-			}
+			cur.Merge(d[0], d[1])
 			decls[stream] = cur
 		}
 	})
 	if err != nil {
 		return err
 	}
-	def := co.opts.BufferBytes
-	if def <= 0 {
-		def = 256 << 10
-	}
+	def := exec.OrDefault(co.opts.BufferBytes, exec.DefaultBufferBytes)
 	sizes := map[string]int{}
 	for _, sp := range co.agg.streams {
-		b := def
-		d := decls[sp]
-		if d[0] > 0 && b < d[0] {
-			b = d[0]
-		}
-		if d[1] > 0 && b > d[1] {
-			b = d[1]
-		}
-		sizes[sp] = b
+		sizes[sp] = decls[sp].Resolve(def)
 	}
 
 	// Phase 2: Process everywhere.
@@ -552,7 +538,7 @@ func (co *coordinator) recover(dead []string) error {
 		return fmt.Errorf("dist: no surviving hosts")
 	}
 
-	replanned, err := replanPlacement(co.placement, deadSet)
+	replanned, err := elastic.ReplanDead(co.placement, deadSet)
 	if err != nil {
 		return err
 	}
@@ -641,15 +627,8 @@ type aggStats struct {
 	streams []string
 }
 
-func newAggStats(spec GraphSpec) *aggStats {
-	g := core.NewGraph()
-	for _, f := range spec.Filters {
-		g.AddFilter(f.Name, func() core.Filter { return nil })
-	}
-	for _, sp := range spec.Streams {
-		g.Connect(sp.From, sp.To, sp.Name)
-	}
-	a := &aggStats{s: core.NewStats(g)}
+func newAggStats(spec GraphSpec, filters []string) *aggStats {
+	a := &aggStats{s: exec.NewStats(filters, spec.Streams)}
 	for _, sp := range spec.Streams {
 		a.streams = append(a.streams, sp.Name)
 	}
@@ -679,4 +658,42 @@ func (a *aggStats) merge(ws *wireStats) {
 		fs.BusySeconds = append(fs.BusySeconds, busy...)
 		fs.Copies = len(fs.BusySeconds)
 	}
+}
+
+// Elasticity on the distributed engine. Copy-set membership changes apply
+// at work-cycle boundaries only: the coordinator gracefully ends every
+// worker session and re-runs setup with the mutated placement — the same
+// session restart fault recovery already performs, minus the casualties.
+// Transparent-copy semantics make this legal: per-UOW filter state is
+// rebuilt by Init, so spawned and retired copies need no state hand-off.
+
+// rescaleSessions applies the scale steps due at boundary uow. Steps whose
+// target host has no live worker (it died mid-run and was replanned away)
+// are dropped — a dead host cannot take copies. When the effective
+// placement actually changes, every worker session is gracefully shut down
+// and set up again with the new plan, and the elastic metrics and scale
+// trace events are published on the coordinator's observer.
+func (co *coordinator) rescaleSessions(due []elastic.ScaleStep, uow int) error {
+	live := make([]elastic.ScaleStep, 0, len(due))
+	for _, s := range due {
+		if s.Copies >= 1 {
+			if _, ok := co.addrs[s.Host]; !ok {
+				continue
+			}
+		}
+		live = append(live, s)
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	old := co.placement
+	next := elastic.Apply(old, live)
+	if slices.Equal(old, next) {
+		return nil
+	}
+	co.shutdownAll()
+	co.shut = false
+	co.placement = next
+	elastic.RecordScaleDiff(co.o, old, next, uow, nil)
+	return co.connectAll()
 }

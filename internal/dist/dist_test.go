@@ -3,6 +3,7 @@ package dist_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,14 +64,33 @@ func init() {
 	})
 	dist.RegisterFilter("test.sink", func([]byte) (core.Filter, error) { return &intSink{}, nil })
 	dist.RegisterFilter("test.fail", func([]byte) (core.Filter, error) { return &failingFilter{}, nil })
-	dist.RegisterFilter("test.suicide", func([]byte) (core.Filter, error) {
-		return &suicideSink{w: suicideTarget}, nil
+	dist.RegisterFilter("test.suicide", func(params []byte) (core.Filter, error) {
+		return &suicideSink{w: victim(params)}, nil
 	})
 }
 
-// suicideTarget is the worker the suicide sink kills; set by the test
-// before the run (builders are registered once in init).
-var suicideTarget *dist.Worker
+// suicideTargets maps a worker address to the worker a suicide filter kills.
+// Each test registers its own victim and passes the address through the
+// filter's Params, so the worker that builds the filter learns its target
+// through the map's synchronization — never through a shared package
+// variable ordered only by a TCP connection the race detector cannot see.
+var suicideTargets sync.Map
+
+// registerVictim makes w a suicide target for the test's duration and
+// returns the filter Params naming it.
+func registerVictim(t *testing.T, w *dist.Worker) []byte {
+	suicideTargets.Store(w.Addr(), w)
+	t.Cleanup(func() { suicideTargets.Delete(w.Addr()) })
+	return []byte(w.Addr())
+}
+
+// victim resolves a registered target from filter Params (nil if none).
+func victim(params []byte) *dist.Worker {
+	if w, ok := suicideTargets.Load(string(params)); ok {
+		return w.(*dist.Worker)
+	}
+	return nil
+}
 
 // startWorkers launches n in-process workers on ephemeral localhost ports,
 // named host0..host<n-1>.
@@ -277,11 +297,10 @@ func TestDistributedIsosurfaceRender(t *testing.T) {
 func TestDistributedWorkerDeathSurfaces(t *testing.T) {
 	leakcheck.Check(t)
 	addrs, workers := startWorkers(t, 2)
-	suicideTarget = workers["host1"]
 	g := dist.GraphSpec{
 		Filters: []dist.FilterSpec{
 			{Name: "S", Kind: "test.source", Params: []byte{200}},
-			{Name: "K", Kind: "test.suicide"},
+			{Name: "K", Kind: "test.suicide", Params: registerVictim(t, workers["host1"])},
 		},
 		Streams: []core.StreamSpec{{Name: "ints", From: "S", To: "K"}},
 	}
@@ -352,7 +371,6 @@ func TestDistributedTinyQueueStress(t *testing.T) {
 // worker must accept a fresh session after the first completes.
 func TestDistributedWorkerRefusesConcurrentSession(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
-	suicideTarget = nil
 
 	// Occupy host0 with a session that stays open (slow sink holds it).
 	started := make(chan struct{})

@@ -32,6 +32,7 @@ import (
 
 	"datacutter/internal/core"
 	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 	"datacutter/internal/faults"
 )
 
@@ -48,12 +49,10 @@ type GraphSpec struct {
 	Streams []core.StreamSpec
 }
 
-// PlacementEntry assigns copies of a filter to a host.
-type PlacementEntry struct {
-	Filter string
-	Host   string
-	Copies int
-}
+// PlacementEntry assigns copies of a filter to a host. It is the
+// engine-neutral elastic.Entry, so fault replanning and scale schedules
+// operate on a dist placement directly.
+type PlacementEntry = elastic.Entry
 
 // Options configures a distributed run.
 type Options struct {
@@ -121,11 +120,8 @@ func (o Options) WithFaults(in *faults.Injector) Options {
 
 // validate rejects nonsensical knob values; zero means "use the default".
 func (o Options) validate() error {
-	if o.QueueCap < 0 {
-		return fmt.Errorf("dist: Options.QueueCap must be >= 0, got %d", o.QueueCap)
-	}
-	if o.BufferBytes < 0 {
-		return fmt.Errorf("dist: Options.BufferBytes must be >= 0, got %d", o.BufferBytes)
+	if err := exec.ValidateSizes("dist", o.QueueCap, o.BufferBytes); err != nil {
+		return err
 	}
 	if o.DialTimeout < 0 {
 		return fmt.Errorf("dist: Options.DialTimeout must be >= 0, got %v", o.DialTimeout)
@@ -172,26 +168,13 @@ func (o *Options) dialTimeout() time.Duration {
 	return DefaultDialTimeout
 }
 
-func (o *Options) dialAttempts() int {
-	if o.DialAttempts > 0 {
-		return o.DialAttempts
-	}
-	return DefaultDialAttempts
-}
+func (o *Options) dialAttempts() int { return exec.OrDefault(o.DialAttempts, DefaultDialAttempts) }
 
 func (o *Options) hbInterval() time.Duration {
-	if o.HeartbeatInterval > 0 {
-		return o.HeartbeatInterval
-	}
-	return DefaultHeartbeatInterval
+	return exec.OrDefault(o.HeartbeatInterval, DefaultHeartbeatInterval)
 }
 
-func (o *Options) hbMisses() int {
-	if o.HeartbeatMisses > 0 {
-		return o.HeartbeatMisses
-	}
-	return DefaultHeartbeatMisses
-}
+func (o *Options) hbMisses() int { return exec.OrDefault(o.HeartbeatMisses, DefaultHeartbeatMisses) }
 
 // hbTimeout is how long silence on the control plane is tolerated.
 func (o *Options) hbTimeout() time.Duration {

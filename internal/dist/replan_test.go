@@ -3,6 +3,8 @@ package dist
 import (
 	"reflect"
 	"testing"
+
+	"datacutter/internal/elastic"
 )
 
 func TestReplanMovesOrphanedCopiesToExistingHosts(t *testing.T) {
@@ -11,7 +13,7 @@ func TestReplanMovesOrphanedCopiesToExistingHosts(t *testing.T) {
 		{Filter: "F", Host: "b", Copies: 2},
 		{Filter: "G", Host: "b", Copies: 1},
 	}
-	out, err := replanPlacement(in, map[string]bool{"a": true})
+	out, err := elastic.ReplanDead(in, map[string]bool{"a": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestReplanSpreadsFullyOrphanedFilterAcrossSurvivors(t *testing.T) {
 		{Filter: "G", Host: "b", Copies: 1},
 		{Filter: "G", Host: "c", Copies: 1},
 	}
-	out, err := replanPlacement(in, map[string]bool{"a": true})
+	out, err := elastic.ReplanDead(in, map[string]bool{"a": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestReplanSpreadsFullyOrphanedFilterAcrossSurvivors(t *testing.T) {
 
 func TestReplanNoSurvivors(t *testing.T) {
 	in := []PlacementEntry{{Filter: "F", Host: "a", Copies: 1}}
-	if _, err := replanPlacement(in, map[string]bool{"a": true}); err == nil {
+	if _, err := elastic.ReplanDead(in, map[string]bool{"a": true}); err == nil {
 		t.Fatal("want error when every host is dead")
 	}
 }
@@ -59,7 +61,7 @@ func TestReplanNoDeadHostsIsIdentity(t *testing.T) {
 		{Filter: "F", Host: "a", Copies: 2},
 		{Filter: "G", Host: "b", Copies: 1},
 	}
-	out, err := replanPlacement(in, nil)
+	out, err := elastic.ReplanDead(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestReplanMergesDuplicateEntries(t *testing.T) {
 		{Filter: "F", Host: "a", Copies: 1},
 		{Filter: "F", Host: "b", Copies: 1},
 	}
-	out, err := replanPlacement(in, map[string]bool{"a": true})
+	out, err := elastic.ReplanDead(in, map[string]bool{"a": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestReplanSingleSurvivor(t *testing.T) {
 		{Filter: "G", Host: "c", Copies: 2},
 		{Filter: "H", Host: "a", Copies: 1},
 	}
-	out, err := replanPlacement(in, map[string]bool{"a": true, "b": true})
+	out, err := elastic.ReplanDead(in, map[string]bool{"a": true, "b": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestReplanAllButCoordinatorDead(t *testing.T) {
 		{Filter: "F", Host: "w2", Copies: 2},
 		{Filter: "K", Host: "w2", Copies: 3},
 	}
-	out, err := replanPlacement(in, map[string]bool{"w1": true, "w2": true})
+	out, err := elastic.ReplanDead(in, map[string]bool{"w1": true, "w2": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestReplanWeightedHosts(t *testing.T) {
 		{Filter: "F", Host: "small", Copies: 1},
 		{Filter: "F", Host: "dying", Copies: 3},
 	}
-	out, err := replanPlacement(in, map[string]bool{"dying": true})
+	out, err := elastic.ReplanDead(in, map[string]bool{"dying": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +173,12 @@ func TestReplanDeterministic(t *testing.T) {
 		{Filter: "H", Host: "c", Copies: 1},
 	}
 	dead := map[string]bool{"a": true}
-	first, err := replanPlacement(in, dead)
+	first, err := elastic.ReplanDead(in, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		again, err := replanPlacement(in, dead)
+		again, err := elastic.ReplanDead(in, dead)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,6 +177,7 @@ func (w *Worker) serveRing(rl *ringLink) {
 		if m := w.metrics(); m != nil && f.Kind == kindData {
 			m.rxRingFrames.Inc()
 		}
+		w.countRx(f)
 		w.mu.Lock()
 		s := w.sessions[f.Job]
 		w.mu.Unlock()

@@ -160,11 +160,10 @@ func TestRingTransportRejectsBadName(t *testing.T) {
 // of hanging.
 func TestRingTransportWorkerCloseSevers(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
-	suicideTarget = workers["host1"]
 	g := dist.GraphSpec{
 		Filters: []dist.FilterSpec{
 			{Name: "S", Kind: "test.source", Params: []byte{200}},
-			{Name: "K", Kind: "test.suicide"},
+			{Name: "K", Kind: "test.suicide", Params: registerVictim(t, workers["host1"])},
 		},
 		Streams: []core.StreamSpec{{Name: "ints", From: "S", To: "K"}},
 	}

@@ -1,9 +1,9 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -198,7 +198,7 @@ func (w *Worker) Close() {
 	w.ln.Close()
 	w.severConns(false)
 	for _, s := range w.liveSessions() {
-		s.fail(fmt.Errorf("dist: worker closed"))
+		s.abort.Fail(fmt.Errorf("dist: worker closed"))
 	}
 }
 
@@ -246,7 +246,7 @@ func (w *Worker) Kill() {
 	w.ln.Close()
 	w.severConns(true)
 	for _, s := range w.liveSessions() {
-		s.fail(fmt.Errorf("dist: worker killed"))
+		s.abort.Fail(fmt.Errorf("dist: worker killed"))
 	}
 }
 
@@ -271,10 +271,10 @@ func (w *Worker) Instances(name string) []core.Filter {
 	defer w.mu.Unlock()
 	var out []core.Filter
 	for _, job := range w.jobIDsLocked() {
-		out = append(out, w.sessions[job].instancesOf(name)...)
+		out = append(out, w.sessions[job].rt.Instances(name)...)
 	}
 	if len(out) == 0 && w.last != nil {
-		out = w.last.instancesOf(name)
+		out = w.last.rt.Instances(name)
 	}
 	return out
 }
@@ -286,10 +286,10 @@ func (w *Worker) InstancesJob(job uint64, name string) []core.Filter {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if s := w.sessions[job]; s != nil {
-		return s.instancesOf(name)
+		return s.rt.Instances(name)
 	}
 	if s := w.ended[job]; s != nil {
-		return s.instancesOf(name)
+		return s.rt.Instances(name)
 	}
 	return nil
 }
@@ -324,16 +324,6 @@ func (w *Worker) jobIDsLocked() []uint64 {
 	return ids
 }
 
-func (s *session) instancesOf(name string) []core.Filter {
-	var out []core.Filter
-	for _, c := range s.copies {
-		if c.name == name {
-			out = append(out, c.filter)
-		}
-	}
-	return out
-}
-
 // handle dispatches an incoming connection by its first frame: a Setup
 // frame makes it the coordinator control connection, a Hello frame a peer
 // data connection.
@@ -363,6 +353,7 @@ func (w *Worker) servePeer(c *conn) {
 		if err != nil {
 			return
 		}
+		w.countRx(f)
 		w.mu.Lock()
 		s := w.sessions[f.Job]
 		w.mu.Unlock()
@@ -371,6 +362,20 @@ func (w *Worker) servePeer(c *conn) {
 			continue
 		}
 		s.dispatchPeer(f)
+	}
+}
+
+// countRx counts one inbound peer frame, whether or not its session is
+// still live (acknowledgments routinely trail a producer's session end).
+func (w *Worker) countRx(f *frame) {
+	m := w.metrics()
+	switch {
+	case m == nil:
+	case f.Kind == kindData:
+		m.rxDataFrames.Inc()
+		m.rxDataBytes.Add(int64(f.Size))
+	case f.Kind == kindAck:
+		m.rxAckFrames.Inc()
 	}
 }
 
@@ -439,6 +444,27 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 		return
 	}
 
+	// phase runs one coordinator-ordered operation off the control loop (so
+	// heartbeats and an abort are still read) and sends its reply — unless
+	// this worker is going down: a killed process answers nothing, and a
+	// phase that failed because the kill severed its own links must not be
+	// reported as a peer's fault.
+	phase := func(op func() *frame) {
+		opWG.Add(1)
+		go func() {
+			defer opWG.Done()
+			if f := op(); !w.closed.Load() {
+				_ = ctrl.send(f)
+			}
+		}()
+	}
+	replyOr := func(err error, ok *frame) *frame {
+		if err != nil {
+			return s.failFrame(err)
+		}
+		return ok
+	}
+
 	// Worker->coordinator heartbeats from a dedicated sender, so liveness
 	// flows even while a phase computes. A wedged (fault-injected) process
 	// goes silent, exactly like a frozen real one.
@@ -468,7 +494,7 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 		ctrl.setReadDeadline(opts.hbTimeout())
 		f, err := ctrl.recv()
 		if err != nil {
-			s.fail(fmt.Errorf("dist: coordinator connection lost: %w", err))
+			s.abort.Fail(fmt.Errorf("dist: coordinator connection lost: %w", err))
 			endSession()
 			return
 		}
@@ -476,42 +502,24 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 		case kindHeartbeat:
 			// Liveness only; the recv already reset the deadline clock.
 		case kindInitUOW:
-			opWG.Add(1)
-			go func(msg *uowMsg) {
-				defer opWG.Done()
+			msg := f.UOW
+			phase(func() *frame {
 				decls, err := s.initUOW(msg)
-				if err != nil {
-					_ = ctrl.send(s.failFrame(err))
-					return
-				}
-				_ = ctrl.send(&frame{Kind: kindDecls, Decls: decls})
-			}(f.UOW)
+				return replyOr(err, &frame{Kind: kindDecls, Decls: decls})
+			})
 		case kindBeginProcess:
-			opWG.Add(1)
-			go func(sizes map[string]int) {
-				defer opWG.Done()
-				if err := s.process(sizes); err != nil {
-					_ = ctrl.send(s.failFrame(err))
-					return
-				}
-				_ = ctrl.send(&frame{Kind: kindProcessDone})
-			}(f.Sizes)
+			sizes := f.Sizes
+			phase(func() *frame { return replyOr(s.process(sizes), &frame{Kind: kindProcessDone}) })
 		case kindFinalize:
-			opWG.Add(1)
-			go func() {
-				defer opWG.Done()
+			phase(func() *frame {
 				st, err := s.finalize()
-				if err != nil {
-					_ = ctrl.send(s.failFrame(err))
-					return
-				}
-				_ = ctrl.send(&frame{Kind: kindFinalizeDone, Stats: st})
-			}()
+				return replyOr(err, &frame{Kind: kindFinalizeDone, Stats: st})
+			})
 		case kindAbort:
 			// Coordinator-ordered teardown (typically a peer host died).
 			// Unblock everything, wait the phase out, end the session so a
 			// re-setup is accepted the moment AbortDone is on the wire.
-			s.fail(fmt.Errorf("dist: run aborted by coordinator: %s", f.Err))
+			s.abort.Fail(fmt.Errorf("dist: run aborted by coordinator: %s", f.Err))
 			endSession()
 			ctrl.setReadDeadline(0)
 			_ = ctrl.send(&frame{Kind: kindAbortDone})
@@ -530,53 +538,31 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 
 // ---- Session ----
 
-type dcopy struct {
-	name      string
-	filter    core.Filter
-	globalIdx int
-	total     int
-}
-
-type copyStream struct {
-	copyIdx int
-	stream  string
-}
-
-type delivery struct {
-	buf          core.Buffer
-	stream       string
-	fromHost     string
-	producerCopy int
-	targetIdx    int
-	ackEvery     int
-	localAck     exec.AckChan // non-nil for same-host deliveries
-	// release recycles the pooled wire buffer a zero-copy payload aliases;
-	// the consumer's ctx calls it when the filter copy finishes the buffer.
-	release func()
-}
-
+// session is one job's run on this worker: the shared copy-set runtime
+// (internal/exec) restricted to this host's copy sets, driven one phase at
+// a time by the coordinator. The session is also the runtime's engine: the
+// wall clock, goroutines, a delivery queue per local copy set fed by local
+// producers and by wire frames (dispatchPeer), peer links for remote picks
+// and acknowledgments, the producer-done broadcast, and failure
+// attribution.
 type session struct {
 	w     *Worker
 	setup *setupMsg
 	// job namespaces this session's frames on the shared worker mesh.
-	job uint64
-
-	copies []*dcopy
-	// filterHosts caches placement order per filter (copy-set targets).
-	placeOf map[string][]PlacementEntry
-	totalOf map[string]int
-	// copyHost maps a filter's global copy index to its host.
-	copyHost map[string][]string
+	job   uint64
+	rt    *exec.Runtime
+	epoch time.Time
+	exec.Goroutines
 
 	peersMu sync.Mutex
 	peers   map[string]peerLink
 
+	// abort holds the session's first failure. When it was a transport
+	// error talking to a peer, failHost/failNet (guarded by failMu)
+	// attribute it — the coordinator uses them to tell a dead host's
+	// cascade apart from an application error.
+	abort    *exec.Abort
 	failMu   sync.Mutex
-	failedCh chan struct{}
-	failErr  error
-	// failHost/failNet attribute the first failure when it was a transport
-	// error talking to a peer — the coordinator uses them to tell a dead
-	// host's cascade apart from an application error.
 	failHost string
 	failNet  bool
 	// ended marks the session finished (guarded by Worker.mu); the worker
@@ -584,95 +570,51 @@ type session struct {
 	ended bool
 
 	uowMu sync.Mutex
-	uow   *uowState
-}
-
-type uowState struct {
-	index int
-	work  any
-
-	queues map[string]chan delivery
-	// producersLeft counts down a stream's unfinished producer copies;
-	// the exact zero edge closes the local queue (duplicated producer-done
-	// frames from fault injection cannot double-close it). The map itself
-	// is immutable once the unit of work is published.
-	producersLeft map[string]*exec.Countdown
-	writers       map[copyStream]*exec.StreamWriter
-	acks          map[copyStream]exec.AckChan
-	// counts tallies per-target deliveries per produced stream, shared by
-	// this host's producer copies; targetHosts names the targets for the
-	// finalize-time fold into wireStats.PerTarget.
-	counts      map[string]*exec.Counts
-	targetHosts map[string][]string
-
-	declMu sync.Mutex
-	decls  map[string][2]int
-	sizes  map[string]int
-
-	// stats (atomics / mutex-guarded)
-	statMu   sync.Mutex
-	buffers  map[string]int64
-	bytes    map[string]int64
-	ackCount map[string]int64
-	busy     map[string][]float64
-	busyIdx  map[string]map[int]int // filter -> globalIdx -> slot
+	uow   *exec.UOW
 }
 
 func newSession(w *Worker, setup *setupMsg) (*session, error) {
 	s := &session{
-		w: w, setup: setup, job: setup.Opts.JobID,
-		placeOf:  make(map[string][]PlacementEntry),
-		totalOf:  make(map[string]int),
-		copyHost: make(map[string][]string),
-		peers:    make(map[string]peerLink),
-		failedCh: make(chan struct{}),
+		w: w, setup: setup, job: setup.Opts.JobID, epoch: time.Now(),
+		peers: make(map[string]peerLink),
+		abort: exec.NewAbort(),
 	}
-	for _, e := range setup.Placement {
-		s.placeOf[e.Filter] = append(s.placeOf[e.Filter], e)
-		s.totalOf[e.Filter] += e.Copies
-		for i := 0; i < e.Copies; i++ {
-			s.copyHost[e.Filter] = append(s.copyHost[e.Filter], e.Host)
-		}
-	}
-	// Build local copies, preserving global copy numbering.
+	specs := make(map[string]FilterSpec, len(setup.Graph.Filters))
+	names := make([]string, 0, len(setup.Graph.Filters))
 	for _, fs := range setup.Graph.Filters {
-		b, err := builderFor(fs.Kind)
-		if err != nil {
+		if _, err := builderFor(fs.Kind); err != nil {
 			return nil, err
 		}
-		idx := 0
-		for _, e := range s.placeOf[fs.Name] {
-			for i := 0; i < e.Copies; i++ {
-				if e.Host == setup.Host {
-					filt, err := b(fs.Params)
-					if err != nil {
-						return nil, fmt.Errorf("dist: building %s: %w", fs.Name, err)
-					}
-					// Near-storage instrumentation: a filter that owns a
-					// prunable store gets this worker's observer, so pushdown
-					// metrics are recorded where the pruning decision runs.
-					if so, ok := filt.(core.ObserverSetter); ok {
-						so.SetObserver(s.w.obsrv)
-					}
-					s.copies = append(s.copies, &dcopy{
-						name: fs.Name, filter: filt,
-						globalIdx: idx, total: s.totalOf[fs.Name],
-					})
-				}
-				idx++
+		specs[fs.Name] = fs
+		names = append(names, fs.Name)
+	}
+	// The names were validated coordinator-side before setup shipped; a name
+	// that somehow fails here falls back to Round Robin via the zero config
+	// ParsePolicies returns rather than crashing mid-session.
+	pol, _ := exec.ParsePolicies(setup.Opts.Policy, setup.Opts.StreamPolicy)
+	var err error
+	s.rt, err = exec.New(exec.Config{
+		Prefix: "dist", Filters: names, Streams: setup.Graph.Streams, Placement: setup.Placement,
+		Local: setup.Host, Policies: pol,
+		QueueCap: setup.Opts.QueueCap, BufferBytes: setup.Opts.BufferBytes,
+		Build: func(name, _ string) (core.Filter, error) {
+			b, _ := builderFor(specs[name].Kind)
+			filt, err := b(specs[name].Params)
+			if err != nil {
+				return nil, fmt.Errorf("dist: building %s: %w", name, err)
 			}
-		}
+			return filt, nil
+		},
+		// Near-storage instrumentation: a filter that owns a prunable store
+		// gets this worker's observer, so pushdown metrics are recorded
+		// where the pruning decision runs.
+		AttachObserver: true,
+		Obs:            w.obsrv,
+	}, s)
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
-}
-
-func (s *session) fail(err error) {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	if s.failErr == nil {
-		s.failErr = err
-		close(s.failedCh)
-	}
 }
 
 // failTransport records a failure caused by the network path to host. Only
@@ -681,18 +623,10 @@ func (s *session) fail(err error) {
 func (s *session) failTransport(host string, err error) {
 	s.failMu.Lock()
 	defer s.failMu.Unlock()
-	if s.failErr == nil {
-		s.failErr = err
+	if s.abort.Fail(err) {
 		s.failHost = host
 		s.failNet = true
-		close(s.failedCh)
 	}
-}
-
-func (s *session) failed() error {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	return s.failErr
 }
 
 // failFrame builds the kindFail reply for err, attaching the session's
@@ -723,7 +657,7 @@ func (s *session) closePeers() {
 // always, for the default "tcp" — the dial goes through dialRetry, the
 // shared backoff+jitter helper bounded per attempt by Options.DialTimeout,
 // so a peer mid-restart is retried rather than failing the run, and a
-// session being torn down cancels the backoff wait via failedCh. newConn
+// session being torn down cancels the backoff wait via its abort. newConn
 // sets TCP_NODELAY: the connection's vectored batch writer already
 // coalesces small frames, so Nagle would only delay those batches.
 func (s *session) peer(host string) (peerLink, error) {
@@ -757,7 +691,7 @@ func (s *session) peer(host string) (peerLink, error) {
 	if m := s.w.metrics(); m != nil {
 		redials = m.redials
 	}
-	nc, err := dialRetry(addr, &s.setup.Opts, s.w.fi, redials, s.failedCh)
+	nc, err := dialRetry(addr, &s.setup.Opts, s.w.fi, redials, s.abort.Done())
 	if err != nil {
 		return nil, fmt.Errorf("dist: dialing peer %s: %w", host, err)
 	}
@@ -770,66 +704,23 @@ func (s *session) peer(host string) (peerLink, error) {
 	return c, nil
 }
 
-// inputsOf / outputsOf resolve stream specs by endpoint.
-func (s *session) inputsOf(filter string) []core.StreamSpec {
-	var out []core.StreamSpec
-	for _, sp := range s.setup.Graph.Streams {
-		if sp.To == filter {
-			out = append(out, sp)
-		}
-	}
-	return out
+// published returns the unit of work initUOW published last, or nil.
+func (s *session) published() *exec.UOW {
+	s.uowMu.Lock()
+	defer s.uowMu.Unlock()
+	return s.uow
 }
 
-func (s *session) outputsOf(filter string) []core.StreamSpec {
-	var out []core.StreamSpec
-	for _, sp := range s.setup.Graph.Streams {
-		if sp.From == filter {
-			out = append(out, sp)
-		}
+// current returns the published unit of work when it is unit idx.
+func (s *session) current(idx int) *exec.UOW {
+	if u := s.published(); u != nil && u.Index == idx {
+		return u
 	}
-	return out
+	return nil
 }
 
-func (s *session) streamByName(name string) (core.StreamSpec, bool) {
-	for _, sp := range s.setup.Graph.Streams {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return core.StreamSpec{}, false
-}
-
-// consumerTargets lists the consumer copy sets of a stream in placement
-// order.
-func (s *session) consumerTargets(sp core.StreamSpec, producerHost string) []core.TargetInfo {
-	var out []core.TargetInfo
-	for _, e := range s.placeOf[sp.To] {
-		out = append(out, core.TargetInfo{Host: e.Host, Copies: e.Copies, Local: e.Host == producerHost})
-	}
-	return out
-}
-
-func (s *session) qcap() int {
-	if s.setup.Opts.QueueCap > 0 {
-		return s.setup.Opts.QueueCap
-	}
-	return 8
-}
-
-// policies resolves the session's writer-policy configuration (default +
-// per-stream overrides). The names were validated coordinator-side before
-// setup shipped; a name that somehow fails here falls back to Round Robin
-// via the zero config rather than crashing mid-session.
-func (s *session) policies() exec.PolicyConfig {
-	cfg, err := exec.ParsePolicies(s.setup.Opts.Policy, s.setup.Opts.StreamPolicy)
-	if err != nil {
-		return exec.PolicyConfig{}
-	}
-	return cfg
-}
-
-// initUOW builds per-UOW plumbing and runs every local copy's Init.
+// initUOW wires a unit of work and runs every local copy's Init, returning
+// the buffer bounds they declared for the coordinator to resolve.
 func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 	var work any
 	if len(msg.Work) > 0 {
@@ -839,279 +730,66 @@ func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 			return nil, fmt.Errorf("dist: decoding unit of work: %w", err)
 		}
 	}
-	u := &uowState{
-		index:         msg.Index,
-		work:          work,
-		queues:        make(map[string]chan delivery),
-		producersLeft: make(map[string]*exec.Countdown),
-		writers:       make(map[copyStream]*exec.StreamWriter),
-		acks:          make(map[copyStream]exec.AckChan),
-		counts:        make(map[string]*exec.Counts),
-		targetHosts:   make(map[string][]string),
-		decls:         make(map[string][2]int),
-		sizes:         make(map[string]int),
-		buffers:       make(map[string]int64),
-		bytes:         make(map[string]int64),
-		ackCount:      make(map[string]int64),
-		busy:          make(map[string][]float64),
-		busyIdx:       make(map[string]map[int]int),
-	}
-	// Queues for streams consumed on this host.
-	for _, sp := range s.setup.Graph.Streams {
-		consumesHere := false
-		for _, e := range s.placeOf[sp.To] {
-			if e.Host == s.setup.Host {
-				consumesHere = true
-			}
-		}
-		if consumesHere {
-			u.queues[sp.Name] = make(chan delivery, s.qcap())
-			u.producersLeft[sp.Name] = exec.NewCountdown(s.totalOf[sp.From])
-		}
-	}
-	// Stream writers (the shared internal/exec runtime bound to a wire
-	// port) and ack channels for local producer copies.
-	pol := s.policies()
-	for _, c := range s.copies {
-		for _, sp := range s.outputsOf(c.name) {
-			targets := s.consumerTargets(sp, s.setup.Host)
-			if u.counts[sp.Name] == nil {
-				u.counts[sp.Name] = exec.NewCounts(len(targets))
-				hosts := make([]string, len(targets))
-				for i, t := range targets {
-					hosts[i] = t.Host
-				}
-				u.targetHosts[sp.Name] = hosts
-			}
-			key := copyStream{c.globalIdx, sp.Name}
-			port := &distPort{s: s, u: u, c: c, stream: sp.Name, targets: targets}
-			if reg := s.w.obsrv.Registry(); reg != nil {
-				port.writeStallH = reg.Histogram("dist.write_stall_seconds")
-			}
-			sw := exec.NewStreamWriter(sp.Name, pol.For(sp.Name), targets, port, u.counts[sp.Name],
-				exec.Meta{Obs: s.w.obsrv, Filter: c.name, Copy: c.globalIdx, Host: s.setup.Host, UOW: u.index})
-			if sw.WantsAcks() {
-				// 4x the never-block bound: inbound wire acks are shed with
-				// Offer on overflow, so headroom trades memory for fewer
-				// conservative drops under fault-injected duplication.
-				ch := exec.NewAckChan(4 * exec.AckCap(targets, s.qcap()))
-				u.acks[key] = ch
-				port.acks = ch
-				sw.BindAckSource(ch)
-			}
-			u.writers[key] = sw
-		}
+	// Each unit of work reports its own stats fragment.
+	s.rt.ResetStats()
+	u, err := s.rt.NewUOW(msg.Index, work, s.abort)
+	if err != nil {
+		return nil, err
 	}
 	s.uowMu.Lock()
 	s.uow = u
 	s.uowMu.Unlock()
-
-	// Run Init on every local copy.
-	var wg sync.WaitGroup
-	var initErr error
-	var errMu sync.Mutex
-	for _, c := range s.copies {
-		wg.Add(1)
-		go func(c *dcopy) {
-			defer wg.Done()
-			ctx := s.ctxFor(c, u)
-			t0 := time.Now()
-			err := c.filter.Init(ctx)
-			u.addBusy(c, time.Since(t0).Seconds())
-			if err != nil {
-				errMu.Lock()
-				if initErr == nil {
-					initErr = fmt.Errorf("dist: %s copy %d init: %w", c.name, c.globalIdx, err)
-				}
-				errMu.Unlock()
-			}
-		}(c)
+	if err := u.Init(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if initErr != nil {
-		return nil, initErr
-	}
-	u.declMu.Lock()
-	defer u.declMu.Unlock()
-	out := make(map[string][2]int, len(u.decls))
-	for k, v := range u.decls {
-		out[k] = v
-	}
-	return out, nil
+	return u.Decls(), nil
 }
 
-func (u *uowState) addBusy(c *dcopy, seconds float64) {
-	u.statMu.Lock()
-	defer u.statMu.Unlock()
-	m := u.busyIdx[c.name]
-	if m == nil {
-		m = make(map[int]int)
-		u.busyIdx[c.name] = m
-	}
-	slot, ok := m[c.globalIdx]
-	if !ok {
-		slot = len(u.busy[c.name])
-		u.busy[c.name] = append(u.busy[c.name], 0)
-		m[c.globalIdx] = slot
-	}
-	u.busy[c.name][slot] += seconds
-}
-
-// process runs every local copy's Process and propagates end-of-work.
+// process installs the coordinator's buffer sizes and runs every local
+// copy's Process.
 func (s *session) process(sizes map[string]int) error {
-	s.uowMu.Lock()
-	u := s.uow
-	s.uowMu.Unlock()
+	u := s.published()
 	if u == nil {
 		return fmt.Errorf("dist: BeginProcess before InitUOW")
 	}
-	u.sizes = sizes
-
-	var wg sync.WaitGroup
-	var procErr error
-	var errMu sync.Mutex
-	for _, c := range s.copies {
-		wg.Add(1)
-		go func(c *dcopy) {
-			defer wg.Done()
-			ctx := s.ctxFor(c, u)
-			s.w.obsrv.Emit(obs.Event{Kind: obs.KindProcessStart, Filter: c.name, Copy: c.globalIdx, Host: s.setup.Host, UOW: u.index})
-			t0 := time.Now()
-			err := safeProcess(c.filter, ctx)
-			u.addBusy(c, time.Since(t0).Seconds())
-			s.w.obsrv.Emit(obs.Event{Kind: obs.KindProcessEnd, Filter: c.name, Copy: c.globalIdx, Host: s.setup.Host, UOW: u.index})
-			// End-of-work: tell every consuming host this producer copy is
-			// done (on the data connections, so markers trail the data).
-			for _, sp := range s.outputsOf(c.name) {
-				s.broadcastProducerDone(sp, u.index)
-			}
-			if err != nil {
-				errMu.Lock()
-				// A cancelled copy is a symptom of whichever copy failed
-				// first; keep the root cause even when the symptom wins the
-				// race to report (e.g. a strict-ring setup error on one copy
-				// cancelling its siblings).
-				if procErr == nil ||
-					(errors.Is(procErr, core.ErrCancelled) && !errors.Is(err, core.ErrCancelled)) {
-					procErr = fmt.Errorf("dist: %s copy %d: %w", c.name, c.globalIdx, err)
-				}
-				errMu.Unlock()
-				s.fail(err)
-			}
-		}(c)
-	}
-	wg.Wait()
-	if procErr != nil {
-		// Copies report ErrCancelled for failures the session already
-		// recorded with attribution (a dead peer, a strict-ring setup
-		// refusal): surface the recorded root cause, not the symptom.
-		if ferr := s.failed(); ferr != nil && errors.Is(procErr, core.ErrCancelled) {
-			return ferr
-		}
-		return procErr
-	}
-	return s.failed()
-}
-
-func safeProcess(f core.Filter, ctx core.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("filter panicked: %v", r)
-		}
-	}()
-	return f.Process(ctx)
-}
-
-// broadcastProducerDone notifies every host holding a consumer copy set of
-// sp (including this one) that one producer copy finished.
-func (s *session) broadcastProducerDone(sp core.StreamSpec, uowIdx int) {
-	seen := map[string]bool{}
-	for _, e := range s.placeOf[sp.To] {
-		if seen[e.Host] {
-			continue
-		}
-		seen[e.Host] = true
-		if e.Host == s.setup.Host {
-			s.producerDone(sp.Name, uowIdx)
-			continue
-		}
-		c, err := s.peer(e.Host)
-		if err != nil {
-			// A consumer host we cannot reach would wait for this marker
-			// forever; surface the failure instead of hanging the run.
-			s.failTransport(e.Host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", sp.Name, err))
-			continue
-		}
-		if err := c.send(&frame{Kind: kindProducerDone, Job: s.job, UOWIdx: uowIdx, Stream: sp.Name}); err != nil {
-			s.failTransport(e.Host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", sp.Name, err))
-		}
-	}
-}
-
-// producerDone decrements a stream's live-producer countdown, closing the
-// local queue exactly once at zero.
-func (s *session) producerDone(stream string, uowIdx int) {
-	s.uowMu.Lock()
-	u := s.uow
-	s.uowMu.Unlock()
-	if u == nil || u.index != uowIdx {
-		return
-	}
-	cd, ok := u.producersLeft[stream]
-	if !ok {
-		return
-	}
-	if cd.Done() {
-		if q := u.queues[stream]; q != nil {
-			close(q)
-		}
-	}
+	u.SetBufferSizes(sizes)
+	return u.Process()
 }
 
 // finalize runs Finalize on local copies and returns the stats fragment.
 func (s *session) finalize() (*wireStats, error) {
-	s.uowMu.Lock()
-	u := s.uow
-	s.uowMu.Unlock()
+	u := s.published()
 	if u == nil {
 		return nil, fmt.Errorf("dist: Finalize before InitUOW")
 	}
-	var wg sync.WaitGroup
-	var finErr error
-	var errMu sync.Mutex
-	for _, c := range s.copies {
-		wg.Add(1)
-		go func(c *dcopy) {
-			defer wg.Done()
-			ctx := s.ctxFor(c, u)
-			t0 := time.Now()
-			err := c.filter.Finalize(ctx)
-			u.addBusy(c, time.Since(t0).Seconds())
-			if err != nil {
-				errMu.Lock()
-				if finErr == nil {
-					finErr = err
-				}
-				errMu.Unlock()
-			}
-		}(c)
+	if err := u.Finalize(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if finErr != nil {
-		return nil, finErr
-	}
-	// Fold the shared runtime's per-target tallies into the wire shape.
-	perTarget := make(map[string]map[string]int64, len(u.counts))
-	for stream, counts := range u.counts {
-		per := make(map[string]int64)
-		counts.Fold(u.targetHosts[stream], per)
-		perTarget[stream] = per
-	}
-	u.statMu.Lock()
-	defer u.statMu.Unlock()
+	st := s.rt.Stats()
 	ws := &wireStats{
-		StreamBuffers: u.buffers, StreamBytes: u.bytes, StreamAcks: u.ackCount,
-		PerTarget: perTarget, FilterBusy: u.busy,
+		StreamBuffers: make(map[string]int64), StreamBytes: make(map[string]int64),
+		StreamAcks: make(map[string]int64), PerTarget: make(map[string]map[string]int64),
+		FilterBusy: make(map[string][]float64),
+	}
+	for name, ss := range st.Streams {
+		if ss.Buffers != 0 {
+			ws.StreamBuffers[name], ws.StreamBytes[name] = ss.Buffers, ss.Bytes
+		}
+		if ss.Acks != 0 {
+			ws.StreamAcks[name] = ss.Acks
+		}
+		if len(ss.PerTargetHost) > 0 {
+			ws.PerTarget[name] = ss.PerTargetHost
+		}
+	}
+	// A copy's busy time is its whole Init, Process and Finalize time: dist
+	// reports no stall split.
+	for name, fs := range st.Filters {
+		for _, cp := range s.rt.Copies(name) {
+			if cp.Filter != nil {
+				ws.FilterBusy[name] = append(ws.FilterBusy[name], fs.WallSeconds[cp.Index])
+			}
+		}
 	}
 	return ws, nil
 }
@@ -1119,24 +797,19 @@ func (s *session) finalize() (*wireStats, error) {
 // dispatchPeer handles one inbound peer frame. Frames carry the unit of
 // work they belong to; anything from a stale unit (e.g. a trailing
 // acknowledgment that arrives after the next unit's state replaced the
-// writer counters) is dropped — stream names repeat every unit, so
-// without the check a late ack would corrupt the new unit's demand counts.
+// writer windows) is dropped — stream names repeat every unit, so without
+// the check a late ack would corrupt the new unit's demand counts.
 func (s *session) dispatchPeer(f *frame) {
 	switch f.Kind {
 	case kindData:
-		if m := s.w.metrics(); m != nil {
-			m.rxDataFrames.Inc()
-			m.rxDataBytes.Add(int64(f.Size))
+		var st *exec.Stream
+		var q exec.ChanQueue
+		if u := s.current(f.UOWIdx); u != nil {
+			if st = u.Stream(f.Stream); st != nil {
+				q, _ = st.Queue(s.setup.Host).(exec.ChanQueue)
+			}
 		}
-		s.uowMu.Lock()
-		u := s.uow
-		s.uowMu.Unlock()
-		if u == nil || u.index != f.UOWIdx {
-			f.release()
-			return
-		}
-		q := u.queues[f.Stream]
-		if q == nil {
+		if q == nil || f.Copy < 0 || f.Copy >= len(s.rt.Copies(st.Spec.From)) {
 			f.release()
 			return
 		}
@@ -1150,45 +823,124 @@ func (s *session) dispatchPeer(f *frame) {
 			var err error
 			payload, release, err = decodePayload(f)
 			if err != nil {
-				s.fail(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
+				s.abort.Fail(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
 				return
 			}
 		}
-		sp, _ := s.streamByName(f.Stream)
-		fromHost := s.copyHost[sp.From][f.Copy]
-		d := delivery{
-			buf:          core.Buffer{Payload: payload, Size: f.Size},
-			stream:       f.Stream,
-			fromHost:     fromHost,
-			producerCopy: f.Copy,
-			targetIdx:    f.Target,
-			ackEvery:     f.AckN,
-			release:      release,
+		d := exec.Delivery{
+			Buf: core.Buffer{Payload: payload, Size: f.Size}, AckEvery: f.AckN,
+			Ack:     exec.AckTo{Host: s.rt.Copies(st.Spec.From)[f.Copy].Host, Copy: f.Copy, Target: f.Target},
+			Release: release,
 		}
 		select {
 		case q <- d: // blocking here exerts TCP backpressure upstream
 			// Copy -1: arrival on the host's shared copy-set queue — the
 			// consuming copy is only decided at dequeue time.
-			s.w.obsrv.Emit(obs.Event{Kind: obs.KindEnqueue, Filter: sp.To, Copy: -1, Host: s.setup.Host, Stream: f.Stream, Target: s.setup.Host, Bytes: f.Size, UOW: f.UOWIdx, Note: "rx"})
-		case <-s.failedCh:
+			s.w.obsrv.Emit(obs.Event{Kind: obs.KindEnqueue, Filter: st.Spec.To, Copy: -1, Host: s.setup.Host, Stream: f.Stream, Target: s.setup.Host, Bytes: f.Size, UOW: f.UOWIdx, Note: "rx"})
+		case <-s.abort.Done():
 			if release != nil {
 				release()
 			}
 		}
 	case kindAck:
-		if m := s.w.metrics(); m != nil {
-			m.rxAckFrames.Inc()
-		}
-		s.uowMu.Lock()
-		u := s.uow
-		s.uowMu.Unlock()
-		if u == nil || u.index != f.UOWIdx {
-			return
-		}
-		if ch, ok := u.acks[copyStream{f.Copy, f.Stream}]; ok {
-			ch.Offer(f.Target, f.AckN) // overflow: drop (conservative)
+		if u := s.current(f.UOWIdx); u != nil {
+			if ch, ok := u.AckSource(f.Stream, f.Copy).(exec.AckChan); ok {
+				ch.Offer(f.Target, f.AckN) // overflow: drop (conservative)
+			}
 		}
 	case kindProducerDone:
-		s.producerDone(f.Stream, f.UOWIdx)
+		if u := s.current(f.UOWIdx); u != nil {
+			if st := u.Stream(f.Stream); st != nil {
+				st.ProducerDone()
+			}
+		}
 	}
 }
+
+// ---- exec.Engine ----
+
+// Now implements exec.Engine: wall seconds since the session began.
+func (s *session) Now() float64 { return time.Since(s.epoch).Seconds() }
+
+// NewQueue implements exec.Engine: the local copy set's delivery queue,
+// fed by local producers (Output.Deliver) and wire frames (dispatchPeer).
+func (s *session) NewQueue(_ *exec.Stream, _ string, capacity int) exec.Queue {
+	return make(exec.ChanQueue, capacity)
+}
+
+// Port implements exec.Engine: a same-host pick goes into the local
+// copy-set queue (Output.Deliver), a remote one is framed and sent on the
+// peer's data connection, where blocking is TCP backpressure.
+func (s *session) Port(c *exec.CopyCtx, out *exec.Output) exec.Port {
+	st := out.Stream
+	return exec.PortFunc(func(idx int, b core.Buffer, ackEvery int) error {
+		host := st.Hosts[idx]
+		if host == s.setup.Host {
+			return out.Deliver(idx, b, ackEvery)
+		}
+		peer, err := s.peer(host)
+		if err != nil {
+			s.failTransport(host, err)
+			return core.ErrCancelled
+		}
+		// The payload is serialized by the conn via the codec registry (fast
+		// path for registered types, gob otherwise), outside the
+		// connection's write lock.
+		if err := peer.send(dataFrame(s.job, c.UOW(), st.Spec.Name, c.CopyIndex(), idx, ackEvery, b.Size, b.Payload)); err != nil {
+			s.failTransport(host, fmt.Errorf("dist: sending buffer for %s to %s: %w", st.Spec.Name, host, err))
+			return core.ErrCancelled
+		}
+		c.CountSent(st, b.Size)
+		if m := s.w.metrics(); m != nil {
+			m.txDataFrames.Inc()
+			m.txDataBytes.Add(int64(b.Size))
+		}
+		s.w.obsrv.Emit(obs.Event{Kind: obs.KindSend, Filter: c.Name(), Copy: c.CopyIndex(), Host: s.setup.Host, Stream: st.Spec.Name, Target: host, Bytes: b.Size, UOW: c.UOW()})
+		return nil
+	})
+}
+
+// NewAcks implements exec.Engine: 4x the never-block bound, because inbound
+// wire acks are shed with Offer on overflow, so headroom trades memory for
+// fewer conservative drops under fault-injected duplication.
+func (s *session) NewAcks(ackCap int) exec.AckSource { return exec.NewAckChan(4 * ackCap) }
+
+// SendAck implements exec.Engine: a local producer's window channel takes
+// the ack directly (Offer drops on overflow, which the sizing rules out
+// without fault-injected duplication); a remote one gets an ack frame.
+func (s *session) SendAck(c *exec.CopyCtx, stream string, to exec.AckTo, n int) {
+	if ch, ok := to.Sink.(exec.AckChan); ok {
+		ch.Offer(to.Target, n)
+		return
+	}
+	p, err := s.peer(to.Host)
+	if err != nil {
+		return
+	}
+	if m := s.w.metrics(); m != nil {
+		m.txAckFrames.Inc()
+	}
+	_ = p.send(&frame{Kind: kindAck, Job: s.job, UOWIdx: c.UOW(), Stream: stream, Copy: to.Copy, Target: to.Target, AckN: n})
+}
+
+// EndOfWork implements exec.Engine: every other host holding a consumer
+// copy set of st learns that one producer copy finished, on the data
+// connections so the marker trails the data. A consumer host we cannot
+// reach would wait for the marker forever, so that is a failure.
+func (s *session) EndOfWork(c *exec.CopyCtx, st *exec.Stream) {
+	for i, host := range st.Hosts {
+		if host == s.setup.Host || slices.Contains(st.Hosts[:i], host) {
+			continue
+		}
+		p, err := s.peer(host)
+		if err == nil {
+			err = p.send(&frame{Kind: kindProducerDone, Job: s.job, UOWIdx: c.UOW(), Stream: st.Spec.Name})
+		}
+		if err != nil {
+			s.failTransport(host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", st.Spec.Name, err))
+		}
+	}
+}
+
+// Env implements exec.Engine: Compute and ChargeDisk are no-ops.
+func (s *session) Env(*exec.CopyCtx) exec.Env { return nil }

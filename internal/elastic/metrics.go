@@ -54,3 +54,44 @@ func RecordRebalance(o *obs.Observer, stream, host string, uow int, note string)
 		Kind: obs.KindRebalance, Stream: stream, Host: host, UOW: uow, Note: note,
 	})
 }
+
+// RecordScaleDiff publishes one RecordScale per (filter, host) copy set
+// whose copy count differs between two placements: changed and new sets in
+// next's order, then retired sets in old's order. reason names the cause of
+// a change (nil, or an empty answer, records "scale schedule").
+func RecordScaleDiff(o *obs.Observer, old, next []Entry, uow int, reason func(filter, host string) string) {
+	if o == nil {
+		return
+	}
+	type key struct{ filter, host string }
+	tally := func(es []Entry) (map[key]int, []key) {
+		n := make(map[key]int, len(es))
+		var order []key
+		for _, e := range es {
+			k := key{e.Filter, e.Host}
+			if _, seen := n[k]; !seen {
+				order = append(order, k)
+			}
+			n[k] += e.Copies
+		}
+		return n, order
+	}
+	why := func(k key) string {
+		if reason != nil {
+			if s := reason(k.filter, k.host); s != "" {
+				return s
+			}
+		}
+		return "scale schedule"
+	}
+	before, oldKeys := tally(old)
+	after, newKeys := tally(next)
+	for _, k := range newKeys {
+		RecordScale(o, k.filter, k.host, before[k], after[k], uow, why(k))
+	}
+	for _, k := range oldKeys {
+		if _, kept := after[k]; !kept {
+			RecordScale(o, k.filter, k.host, before[k], 0, uow, why(k))
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package elastic
 
+import "fmt"
+
 // ScaleStep is one seeded copy-set membership change, applied at a
 // work-cycle boundary: before unit of work BeforeUOW starts, the (Filter,
 // Host) placement entry's copy count becomes Copies. Steps are the
@@ -87,4 +89,27 @@ func StepsAt(steps []ScaleStep, uow int) []ScaleStep {
 		}
 	}
 	return out
+}
+
+// ValidateSchedule rejects steps naming filters absent from the graph (a
+// typo would otherwise silently grow a copy set nobody consumes), steps at
+// the reserved zero boundary, and — when hostOK is non-nil — steps growing
+// a copy set onto a host the engine cannot run (hostOK false).
+func ValidateSchedule(filters []string, steps []ScaleStep, hostOK func(host string) bool) error {
+	known := make(map[string]bool, len(filters))
+	for _, f := range filters {
+		known[f] = true
+	}
+	for _, s := range steps {
+		if !known[s.Filter] {
+			return fmt.Errorf("scale schedule names unknown filter %q", s.Filter)
+		}
+		if s.BeforeUOW < 1 {
+			return fmt.Errorf("scale step for %q has BeforeUOW %d (the initial plan is the zero boundary; steps need >= 1)", s.Filter, s.BeforeUOW)
+		}
+		if s.Copies >= 1 && hostOK != nil && !hostOK(s.Host) {
+			return fmt.Errorf("scale step for %q uses unknown host %q", s.Filter, s.Host)
+		}
+	}
+	return nil
 }

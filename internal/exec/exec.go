@@ -1,20 +1,21 @@
-// Package exec is the transport-agnostic stream-writer runtime shared by
-// all three engines. It owns everything between "a filter produced a
-// buffer" and "bytes handed to a transport": writer-policy construction
-// from TargetInfo (RR/WRR/DD, see policy.go), the demand-driven unacked
-// sliding window and ack coalescing, copy-set targeting, producer-done /
-// end-of-work countdowns, per-target delivery stats, and the internal/obs
-// buffer-lifecycle events.
+// Package exec is the copy-set runtime shared by all three engines: the
+// one implementation of the paper's runtime model. It owns the transparent
+// copies of every filter and their rescaling, each unit of work's stream
+// wiring, the filter Ctx, the Init/Process/Finalize phases (runtime.go,
+// uow.go), and everything between "a filter produced a buffer" and "bytes
+// handed to a transport": writer-policy construction from TargetInfo
+// (RR/WRR/DD, see policy.go), the demand-driven unacked sliding window and
+// ack coalescing, end-of-work countdowns, per-target delivery stats, and
+// the internal/obs buffer-lifecycle events.
 //
-// Engines plug in through two small interfaces: a Port delivers a picked
-// buffer over whatever the engine's transport is (a Go channel in
-// internal/core, a sim-kernel channel plus virtual-time NIC occupation in
-// internal/simrt, a wire hostLink or local queue in internal/dist), and an
+// An engine plugs in through Engine: its clock, how a copy's phase body
+// runs, its queue primitive, and its transport — a Port delivers a picked
+// buffer (a Go channel in internal/core, a virtual-time NIC transfer in
+// internal/simrt, a local queue or the wire in internal/dist), and an
 // AckSource surfaces consumer acknowledgments back to the producer side
 // (an AckChan for the concurrent engines, an AckSeq for the cooperative
-// simulator). The StreamWriter in between is identical for every engine,
-// which is the point: policy semantics are implemented once and verified
-// once (see the cross-engine equivalence test).
+// simulator). Policy semantics are implemented once and verified once
+// (see the cross-engine equivalence test).
 package exec
 
 import (
@@ -46,6 +47,12 @@ type Buffer struct {
 type Port interface {
 	Deliver(target int, b Buffer, ackEvery int) error
 }
+
+// PortFunc adapts a function to Port.
+type PortFunc func(target int, b Buffer, ackEvery int) error
+
+// Deliver implements Port.
+func (f PortFunc) Deliver(target int, b Buffer, ackEvery int) error { return f(target, b, ackEvery) }
 
 // AckSource drains consumer acknowledgments on the producer side. TryAck
 // never blocks; it returns one coalesced acknowledgment (target index and
@@ -230,9 +237,6 @@ func (sw *StreamWriter) Targets() []TargetInfo {
 	}
 	return out
 }
-
-// SetUOW updates the unit-of-work index stamped on pick events.
-func (sw *StreamWriter) SetUOW(uow int) { sw.meta.UOW = uow }
 
 // Write sends one buffer: drain pending acks into the window, pick a
 // target, deliver, count. The window is incremented at pick time — before

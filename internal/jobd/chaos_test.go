@@ -25,9 +25,9 @@ import (
 // Service-level chaos tests: deterministic fault injection (internal/faults
 // and hard worker kills) against the jobd resilience layer — retry with
 // journaled backoff, worker quarantine and half-open reinstatement,
-// deadlines, cancellation, and load shedding. The CI chaos-jobd lane runs
-// exactly these (-run 'TestJobdChaos') under the race detector and archives
-// the server metrics dumps on failure.
+// deadlines, cancellation, and load shedding. CI's test job runs them with
+// the rest of the race suite and archives the server metrics dumps on
+// failure.
 
 // jobdSrc writes n ints on stream "ints", optionally sleeping between
 // writes (the slow variant keeps a session running long enough to cancel
@@ -100,8 +100,8 @@ func chaosWorker(t *testing.T, plan string) *dist.Worker {
 }
 
 // chaosRegistry builds the server registry and arranges for it to be
-// dumped to $CHAOS_METRICS_DIR at cleanup (the CI chaos-jobd lane archives
-// that directory when the lane fails).
+// dumped to $CHAOS_METRICS_DIR at cleanup (the CI test job archives that
+// directory when it fails).
 func chaosRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()

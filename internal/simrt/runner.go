@@ -1,9 +1,9 @@
 // Package simrt executes a core filter graph on a simulated heterogeneous
 // cluster in virtual time. It is the second engine for internal/core: the
 // same Graph, Placement, Filter implementations, and — crucially — the very
-// same Policy objects (RR, WRR, DD) drive buffer distribution, so scheduling
-// behaviour measured here is the behaviour of the production code, not a
-// re-implementation.
+// same copy-set runtime (internal/exec) and Policy objects (RR, WRR, DD)
+// drive buffer distribution, so scheduling behaviour measured here is the
+// behaviour of the production code, not a re-implementation.
 //
 // Filters run as simulated processes. Ctx.Compute charges the host's
 // processor-sharing CPU (where background jobs compete at equal priority),
@@ -56,13 +56,10 @@ type Options struct {
 }
 
 // validate rejects negative option values that would otherwise silently
-// fall through to the defaults (mirrors core.Options.Validate).
+// fall through to the defaults (the sizes check is shared with core).
 func (o *Options) validate() error {
-	if o.QueueCap < 0 {
-		return fmt.Errorf("simrt: Options.QueueCap must be >= 0 (0 selects the default of 8), got %d", o.QueueCap)
-	}
-	if o.BufferBytes < 0 {
-		return fmt.Errorf("simrt: Options.BufferBytes must be >= 0 (0 selects the default of 256 KiB), got %d", o.BufferBytes)
+	if err := exec.ValidateSizes("simrt", o.QueueCap, o.BufferBytes); err != nil {
+		return err
 	}
 	if o.AckBytes < 0 {
 		return fmt.Errorf("simrt: Options.AckBytes must be >= 0 (0 selects the default of 64), got %d", o.AckBytes)
@@ -73,61 +70,22 @@ func (o *Options) validate() error {
 	return nil
 }
 
-func (o *Options) policyFor(stream string) core.Policy {
-	return exec.PolicyConfig{Default: o.Policy, PerStream: o.StreamPolicy}.For(stream)
-}
-
-func (o *Options) queueCap() int {
-	if o.QueueCap > 0 {
-		return o.QueueCap
-	}
-	return 8
-}
-
-func (o *Options) bufferBytes() int {
-	if o.BufferBytes > 0 {
-		return o.BufferBytes
-	}
-	return 256 << 10
-}
-
-func (o *Options) ackBytes() int {
-	if o.AckBytes > 0 {
-		return o.AckBytes
-	}
-	return 64
-}
-
-func (o *Options) prefetchDepth() int {
-	if o.PrefetchDepth > 0 {
-		return o.PrefetchDepth
-	}
-	return 4
-}
-
-// Runner executes a graph on a cluster in virtual time.
+// Runner executes a graph on a cluster in virtual time. The copy sets,
+// stream wiring, filter Ctx and phase runner are the shared copy-set
+// runtime (internal/exec); Runner is its virtual-time engine: the kernel's
+// clock, sim processes, sim.Chan queues, NIC transfers for buffers and
+// acknowledgments, and the CPU and disk models behind Compute and
+// ChargeDisk.
 type Runner struct {
-	g    *core.Graph
-	pl   *core.Placement
 	cl   *cluster.Cluster
 	opts Options
-
-	copies map[string][]*copyInst
-	stats  *core.Stats
-	// firstErr is the first filter error; the run is reported failed.
-	firstErr error
-}
-
-type copyInst struct {
-	filter    core.Filter
-	name      string
-	host      string
-	globalIdx int
-	total     int
+	rt   *exec.Runtime
 }
 
 // NewRunner validates the graph/placement (every placed host must exist in
-// the cluster) and instantiates filter copies.
+// the cluster) and instantiates filter copies. Instances persist across
+// units of work; a scale schedule rescales them in place at work-cycle
+// boundaries.
 func NewRunner(g *core.Graph, pl *core.Placement, cl *cluster.Cluster, opts Options) (*Runner, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -143,503 +101,183 @@ func NewRunner(g *core.Graph, pl *core.Placement, cl *cluster.Cluster, opts Opti
 			return nil, fmt.Errorf("simrt: placement uses host %q not present in cluster", h)
 		}
 	}
-	r := &Runner{g: g, pl: pl, cl: cl, opts: opts, copies: make(map[string][]*copyInst), stats: core.NewStats(g)}
-	for _, name := range g.Filters() {
-		total := pl.TotalCopies(name)
-		idx := 0
-		for _, e := range pl.Of(name) {
-			for c := 0; c < e.Copies; c++ {
-				r.copies[name] = append(r.copies[name], &copyInst{
-					filter: g.Factory(name)(), name: name, host: e.Host, globalIdx: idx, total: total,
-				})
-				idx++
-			}
-		}
-		fs := r.stats.Filters[name]
-		fs.Copies = total
-		fs.BusySeconds = make([]float64, total)
-		fs.WallSeconds = make([]float64, total)
-		fs.ReadBlockedSeconds = make([]float64, total)
-		fs.WriteBlockedSeconds = make([]float64, total)
+	r := &Runner{cl: cl, opts: opts}
+	rt, err := exec.New(exec.Config{
+		Prefix: "simrt", Filters: g.Filters(), Streams: g.Streams(), Placement: pl.Entries(g),
+		Build:          func(name, _ string) (core.Filter, error) { return g.Factory(name)(), nil },
+		Obs:            opts.Obs,
+		Policies:       exec.PolicyConfig{Default: opts.Policy, PerStream: opts.StreamPolicy},
+		QueueCap:       opts.QueueCap,
+		BufferBytes:    opts.BufferBytes,
+		StreamCounters: true,
+	}, (*engine)(r))
+	if err != nil {
+		return nil, err
 	}
+	r.rt = rt
 	return r, nil
 }
 
 // Instances returns the filter instances for a filter in global copy order.
-func (r *Runner) Instances(name string) []core.Filter {
-	out := make([]core.Filter, len(r.copies[name]))
-	for i, c := range r.copies[name] {
-		out[i] = c.filter
-	}
-	return out
-}
+func (r *Runner) Instances(name string) []core.Filter { return r.rt.Instances(name) }
 
 // Stats returns accumulated statistics (virtual-time seconds).
-func (r *Runner) Stats() *core.Stats { return r.stats }
+func (r *Runner) Stats() *core.Stats { return r.rt.Stats() }
 
-// Run executes all units of work sequentially in virtual time.
+// Run executes all units of work sequentially in virtual time. Scale steps
+// must name hosts of the cluster: a grown copy set must land on modeled
+// hardware.
 func (r *Runner) Run() (*core.Stats, error) {
-	k := r.cl.Kernel()
-	uows := r.opts.UOWs
-	if len(uows) == 0 {
-		uows = []any{nil}
-	}
-	if err := r.validateSchedule(); err != nil {
-		return r.stats, err
-	}
-	cur := r.snapshotEntries()
 	// This engine's time domain is the kernel's virtual clock: exported
 	// traces show simulated seconds, directly comparable to Stats.
-	r.opts.Obs.SetClock(obs.ClockFunc(func() float64 { return float64(k.Now()) }))
-	start := k.Now()
-	for i, work := range uows {
-		if due := elastic.StepsAt(r.opts.ScaleSchedule, i); len(due) > 0 {
-			cur = elastic.Apply(cur, due)
-			r.rescale(cur, i)
-		}
-		t0 := k.Now()
-		if err := r.runUOW(i, work); err != nil {
-			return r.stats, err
-		}
-		r.stats.PerUOWSeconds = append(r.stats.PerUOWSeconds, float64(k.Now()-t0))
-	}
-	r.stats.WallSeconds += float64(k.Now() - start)
-	return r.stats, nil
+	r.opts.Obs.SetClock(obs.ClockFunc((*engine)(r).Now))
+	return r.rt.Run(r.opts.UOWs, r.opts.ScaleSchedule, func(h string) bool { return r.cl.Host(h) != nil })
 }
 
-type delivery struct {
-	buf    core.Buffer
-	sender *writerState
-	target int
-	// ackEvery is the producer policy's ack coalescing factor (> 0 when
-	// the policy wants acks).
-	ackEvery int
-}
+// engine is the Runner seen as the runtime's exec.Engine.
+type engine Runner
 
-type streamRT struct {
-	spec      core.StreamSpec
-	hosts     []string
-	copies    []int
-	chans     []*sim.Chan[delivery]
-	counts    *exec.Counts    // per-target deliveries, folded into stats
-	producers *exec.Countdown // end-of-work: last producer closes the queues
+// Now implements exec.Engine: the kernel's virtual clock.
+func (r *engine) Now() float64 { return float64(r.cl.Kernel().Now()) }
 
-	declMin, declMax int
-	bufBytes         int
-
-	// Live counters, resolved once at setup; nil unless Options.Obs is set.
-	ctrBuffers *obs.Counter
-	ctrBytes   *obs.Counter
-	ctrAcks    *obs.Counter
-}
-
-func (s *streamRT) resolve(def int) {
-	b := def
-	if s.declMin > 0 && b < s.declMin {
-		b = s.declMin
+// Go implements exec.Engine: one sim process per copy and phase, named for
+// deadlock reports.
+func (r *engine) Go(c *exec.CopyCtx, phase string, body func()) {
+	name := fmt.Sprintf("%s-%s#%d", phase, c.Name(), c.CopyIndex())
+	if phase == exec.PhaseProcess {
+		name = fmt.Sprintf("%s#%d@%s", c.Name(), c.CopyIndex(), c.Host())
 	}
-	if s.declMax > 0 && b > s.declMax {
-		b = s.declMax
-	}
-	s.bufBytes = b
-}
-
-// writerState is one producer copy's write path for one stream: the shared
-// stream-writer runtime plus this engine's ack source. The sim kernel is
-// cooperative, so acknowledgments land in a plain AckSeq (appended by the
-// spawned ack process after its wire transfer completes, drained by the
-// StreamWriter at the next pick).
-type writerState struct {
-	st   *streamRT
-	sw   *exec.StreamWriter
-	acks *exec.AckSeq // non-nil when the policy wants acks
-	host string       // producer copy's host
-}
-
-func (r *Runner) runUOW(uow int, work any) error {
-	k := r.cl.Kernel()
-	streams := make(map[string]*streamRT)
-	for _, sp := range r.g.Streams() {
-		st := &streamRT{spec: sp, producers: exec.NewCountdown(r.pl.TotalCopies(sp.From))}
-		for _, e := range r.pl.Of(sp.To) {
-			st.hosts = append(st.hosts, e.Host)
-			st.copies = append(st.copies, e.Copies)
-			st.chans = append(st.chans, sim.NewChan[delivery](k, sp.Name+"@"+e.Host, r.opts.queueCap()))
-		}
-		st.counts = exec.NewCounts(len(st.hosts))
-		if reg := r.opts.Obs.Registry(); reg != nil {
-			st.ctrBuffers = reg.Counter("simrt.stream." + sp.Name + ".buffers")
-			st.ctrBytes = reg.Counter("simrt.stream." + sp.Name + ".bytes")
-			st.ctrAcks = reg.Counter("simrt.stream." + sp.Name + ".acks")
-		}
-		streams[sp.Name] = st
-	}
-
-	var ctxs []*simCtx
-	for _, name := range r.g.Filters() {
-		for _, ci := range r.copies[name] {
-			c := &simCtx{r: r, ci: ci, uow: uow, work: work,
-				inputs:  make(map[string]*sim.Chan[delivery]),
-				inputRT: make(map[string]*streamRT),
-				writers: make(map[string]*writerState),
-				o:       r.opts.Obs}
-			if reg := r.opts.Obs.Registry(); reg != nil {
-				c.readStallH = reg.Histogram("simrt.read_stall_seconds")
-				c.writeStallH = reg.Histogram("simrt.write_stall_seconds")
-			}
-			for _, sp := range r.g.Inputs(name) {
-				st := streams[sp.Name]
-				for i, h := range st.hosts {
-					if h == ci.host {
-						c.inputs[sp.Name] = st.chans[i]
-						break
-					}
-				}
-				if c.inputs[sp.Name] == nil {
-					return fmt.Errorf("simrt: stream %s: consumer copy of %q on host %q has no queue", sp.Name, name, ci.host)
-				}
-				c.inputRT[sp.Name] = st
-			}
-			for _, sp := range r.g.Outputs(name) {
-				st := streams[sp.Name]
-				infos := make([]core.TargetInfo, len(st.hosts))
-				for i, h := range st.hosts {
-					infos[i] = core.TargetInfo{Host: h, Copies: st.copies[i], Local: h == ci.host}
-				}
-				ws := &writerState{st: st, host: ci.host}
-				ws.sw = exec.NewStreamWriter(sp.Name, r.opts.policyFor(sp.Name), infos,
-					&simPort{c: c, ws: ws, stream: sp.Name}, st.counts,
-					exec.Meta{Obs: r.opts.Obs, Filter: ci.name, Copy: ci.globalIdx, Host: ci.host, UOW: uow})
-				if ws.sw.WantsAcks() {
-					ws.acks = &exec.AckSeq{}
-					ws.sw.BindAckSource(ws.acks)
-				}
-				c.writers[sp.Name] = ws
-			}
-			ctxs = append(ctxs, c)
-		}
-	}
-
-	// Phase 1: Init.
-	if err := r.phase(ctxs, "init", func(c *simCtx) error { return c.ci.filter.Init(c) }); err != nil {
-		return err
-	}
-	for _, st := range streams {
-		st.resolve(r.opts.bufferBytes())
-	}
-
-	// Phase 2: Process with end-of-work propagation.
-	for _, c := range ctxs {
-		c := c
-		k.Spawn(fmt.Sprintf("%s#%d@%s", c.ci.name, c.ci.globalIdx, c.ci.host), func(p *sim.Proc) {
-			c.p = p
-			c.o.Emit(obs.Event{Kind: obs.KindProcessStart, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, UOW: c.uow})
-			t0 := p.Now()
-			err := c.ci.filter.Process(c)
-			c.drainDisk()
-			c.o.Emit(obs.Event{Kind: obs.KindProcessEnd, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, UOW: c.uow})
-			fs := r.stats.Filters[c.ci.name]
-			wall := float64(p.Now() - t0)
-			fs.WallSeconds[c.ci.globalIdx] += wall
-			fs.BusySeconds[c.ci.globalIdx] += wall - c.readBlocked - c.writeBlocked - c.netSeconds
-			fs.ReadBlockedSeconds[c.ci.globalIdx] += c.readBlocked
-			fs.WriteBlockedSeconds[c.ci.globalIdx] += c.writeBlocked + c.netSeconds
-			c.readBlocked, c.writeBlocked, c.netSeconds = 0, 0, 0
-			for _, sp := range r.g.Outputs(c.ci.name) {
-				st := streams[sp.Name]
-				if st.producers.Done() {
-					for _, ch := range st.chans {
-						ch.Close()
-					}
-				}
-			}
-			if err != nil && r.firstErr == nil {
-				r.firstErr = fmt.Errorf("simrt: filter %s copy %d: %w", c.ci.name, c.ci.globalIdx, err)
-			}
-		})
-	}
-	runErr := k.Run()
-	// Fold per-target delivery counts into stats before any error return,
-	// so a failed run still reports what was delivered.
-	for name, st := range streams {
-		st.counts.Fold(st.hosts, r.stats.Streams[name].PerTargetHost)
-	}
-	if runErr != nil {
-		if r.firstErr != nil {
-			return r.firstErr
-		}
-		return runErr
-	}
-	if r.firstErr != nil {
-		return r.firstErr
-	}
-
-	// Phase 3: Finalize.
-	return r.phase(ctxs, "finalize", func(c *simCtx) error { return c.ci.filter.Finalize(c) })
-}
-
-func (r *Runner) phase(ctxs []*simCtx, label string, f func(*simCtx) error) error {
-	k := r.cl.Kernel()
-	for _, c := range ctxs {
-		c := c
-		k.Spawn(fmt.Sprintf("%s-%s#%d", label, c.ci.name, c.ci.globalIdx), func(p *sim.Proc) {
-			c.p = p
-			t0 := p.Now()
-			err := f(c)
-			// Init/Finalize work (accumulator allocation, final image
-			// generation) counts toward the filter's busy time.
-			dt := float64(p.Now() - t0)
-			fs := r.stats.Filters[c.ci.name]
-			fs.BusySeconds[c.ci.globalIdx] += dt
-			fs.WallSeconds[c.ci.globalIdx] += dt
-			if err != nil && r.firstErr == nil {
-				r.firstErr = fmt.Errorf("simrt: filter %s copy %d (%s): %w", c.ci.name, c.ci.globalIdx, label, err)
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		if r.firstErr != nil {
-			return r.firstErr
-		}
-		return err
-	}
-	return r.firstErr
-}
-
-// simCtx implements core.Ctx on the simulated engine.
-type simCtx struct {
-	r    *Runner
-	ci   *copyInst
-	p    *sim.Proc
-	uow  int
-	work any
-
-	inputs  map[string]*sim.Chan[delivery]
-	inputRT map[string]*streamRT
-	writers map[string]*writerState
-
-	// o is the attached observer (nil = disabled). Stall spans are detected
-	// after the fact by comparing virtual time around a blocking call and
-	// back-stamped with EmitAt.
-	o           *obs.Observer
-	readStallH  *obs.Histogram
-	writeStallH *obs.Histogram
-
-	readBlocked  float64
-	writeBlocked float64
-	netSeconds   float64
-
-	diskPending     *sim.Chan[struct{}]
-	diskOutstanding int
-
-	// acks coalesces acknowledgments per (producer writer, target) when
-	// the policy batches them (exec.Coalescer).
-	acks *exec.Coalescer[ackKey]
-}
-
-type ackKey struct {
-	ws     *writerState
-	target int
-}
-
-var _ core.Ctx = (*simCtx)(nil)
-
-func (c *simCtx) Read(stream string) (core.Buffer, bool) {
-	ch, ok := c.inputs[stream]
-	if !ok {
-		panic(fmt.Sprintf("simrt: filter %s reads unknown input stream %q", c.ci.name, stream))
-	}
-	t0 := c.p.Now()
-	d, ok := ch.Recv(c.p)
-	c.readBlocked += float64(c.p.Now() - t0)
-	c.emitStallSpan(t0, stream, "read", c.readStallH)
-	if !ok {
-		c.flushAcks()
-		return core.Buffer{}, false
-	}
-	if d.ackEvery > 0 {
-		c.ack(d.sender, d.target, d.ackEvery)
-	}
-	c.r.stats.Filters[c.ci.name].BuffersIn++
-	return d.buf, true
-}
-
-// ack sends (or coalesces) the acknowledgment for one consumed buffer: a
-// real small message that occupies consumer and producer NICs before the
-// producer's counter drops (paper §2: the ack indicates the buffer is
-// being processed). Batched-ack policies coalesce k buffers into one
-// message (the paper's §6 follow-up for reducing DD overhead).
-func (c *simCtx) ack(ws *writerState, target, every int) {
-	if c.acks == nil {
-		c.acks = exec.NewCoalescer[ackKey](func(key ackKey, n int) {
-			c.sendAck(key.ws, key.target, n)
-		})
-	}
-	c.acks.Ack(ackKey{ws, target}, every)
-}
-
-func (c *simCtx) sendAck(ws *writerState, target, n int) {
-	stream := ws.st.spec.Name
-	from, to := c.ci.host, ws.host
-	ab := c.r.opts.ackBytes()
-	c.p.Kernel().Spawn("ack", func(p *sim.Proc) {
-		c.r.cl.Transfer(p, from, to, ab)
-		ws.acks.Ack(target, n)
+	env := c.Env().(*simEnv)
+	r.cl.Kernel().Spawn(name, func(p *sim.Proc) {
+		env.p = p
+		body()
 	})
-	c.r.stats.Streams[stream].Acks++
-	if c.o != nil {
-		if st := c.inputRT[stream]; st != nil {
-			st.ctrAcks.Inc()
+}
+
+// Wait implements exec.Engine: run the kernel until every process ends (a
+// deadlock or kernel failure is the error).
+func (r *engine) Wait() error { return r.cl.Kernel().Run() }
+
+// NewQueue implements exec.Engine.
+func (r *engine) NewQueue(st *exec.Stream, host string, capacity int) exec.Queue {
+	return simQueue{sim.NewChan[exec.Delivery](r.cl.Kernel(), st.Spec.Name+"@"+host, capacity)}
+}
+
+// Port implements exec.Engine: a buffer occupies sender and receiver NICs
+// for its wire time, then is enqueued on the target copy set's queue
+// (blocking there is consumer backpressure, traced as a write stall).
+func (r *engine) Port(c *exec.CopyCtx, out *exec.Output) exec.Port {
+	return exec.PortFunc(func(idx int, b core.Buffer, ackEvery int) error {
+		p, target := c.Env().(*simEnv).p, out.Stream.Hosts[idx]
+		t0 := p.Now()
+		r.cl.Transfer(p, c.Host(), target, b.Size)
+		c.Stall.Net += float64(p.Now() - t0)
+		if o := r.opts.Obs; o != nil {
+			o.Emit(obs.Event{Kind: obs.KindSend, Filter: c.Name(), Copy: c.CopyIndex(), Host: c.Host(), Stream: out.Stream.Spec.Name, Target: target, Bytes: b.Size, UOW: c.UOW()})
 		}
-		c.o.Emit(obs.Event{Kind: obs.KindAck, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: stream, Target: ws.host, N: n, UOW: c.uow})
-	}
+		return out.Deliver(idx, b, ackEvery)
+	})
 }
 
-// emitStallSpan back-stamps a stall-start/stall-end pair when virtual time
-// advanced across a blocking call (no-op when obs is off or no time
-// passed). Events land in the sink after intervening events from other
-// simulated processes; timestamps, not emission order, are authoritative.
-func (c *simCtx) emitStallSpan(t0 sim.Time, stream, dir string, h *obs.Histogram) {
-	if c.o == nil {
-		return
-	}
-	t1 := c.p.Now()
-	if t1 <= t0 {
-		return
-	}
-	h.Observe(float64(t1 - t0))
-	e := obs.Event{Kind: obs.KindStallStart, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: stream, UOW: c.uow, Note: dir}
-	c.o.EmitAt(float64(t0), e)
-	e.Kind = obs.KindStallEnd
-	c.o.EmitAt(float64(t1), e)
+// NewAcks implements exec.Engine. The kernel is cooperative, so
+// acknowledgments land in a plain AckSeq (appended by the ack process after
+// its wire transfer, drained by the StreamWriter at the next pick).
+func (r *engine) NewAcks(int) exec.AckSource { return &exec.AckSeq{} }
+
+// SendAck implements exec.Engine: an acknowledgment is a real small
+// message that occupies consumer and producer NICs before the producer's
+// window drops (paper §2), so DD ack traffic is costly on slow networks.
+func (r *engine) SendAck(c *exec.CopyCtx, _ string, to exec.AckTo, n int) {
+	from, ab := c.Host(), exec.OrDefault(r.opts.AckBytes, 64)
+	r.cl.Kernel().Spawn("ack", func(p *sim.Proc) {
+		r.cl.Transfer(p, from, to.Host, ab)
+		to.Sink.(*exec.AckSeq).Ack(to.Target, n)
+	})
 }
 
-// flushAcks releases coalesced acknowledgments (called at end-of-work so
-// producers' counters settle even when a batch is incomplete).
-func (c *simCtx) flushAcks() {
-	if c.acks != nil {
-		c.acks.Flush()
-	}
-}
+// EndOfWork implements exec.Engine: the whole cluster is simulated here.
+func (r *engine) EndOfWork(*exec.CopyCtx, *exec.Stream) {}
 
-// Write hands the buffer to the shared stream-writer runtime: ack drain,
-// policy pick, and window update happen in exec.StreamWriter; the simPort
-// Deliver callback models the wire transfer and enqueue in virtual time.
-func (c *simCtx) Write(stream string, b core.Buffer) error {
-	ws, ok := c.writers[stream]
-	if !ok {
-		panic(fmt.Sprintf("simrt: filter %s writes unknown output stream %q", c.ci.name, stream))
-	}
-	return ws.sw.Write(b)
-}
+// Env implements exec.Engine.
+func (r *engine) Env(c *exec.CopyCtx) exec.Env { return &simEnv{r: r, c: c} }
 
-// simPort binds the shared stream-writer runtime to the simulated engine:
-// Deliver occupies sender and receiver NICs for the buffer's wire time,
-// then enqueues on the target copy set's sim channel (blocking there is
-// consumer backpressure, traced as a write stall).
-type simPort struct {
-	c      *simCtx
-	ws     *writerState
-	stream string
-}
+// simQueue is a copy set's queue in virtual time. A block is traced after
+// the fact as a back-stamped stall span.
+type simQueue struct{ ch *sim.Chan[exec.Delivery] }
 
-func (p *simPort) Deliver(idx int, b core.Buffer, ackEvery int) error {
-	c, ws, stream := p.c, p.ws, p.stream
-	// Wire time: occupy the NICs for the buffer's transfer.
-	t0 := c.p.Now()
-	c.r.cl.Transfer(c.p, c.ci.host, ws.st.hosts[idx], b.Size)
-	c.netSeconds += float64(c.p.Now() - t0)
-	if c.o != nil {
-		c.o.Emit(obs.Event{Kind: obs.KindSend, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: stream, Target: ws.st.hosts[idx], Bytes: b.Size, UOW: c.uow})
-	}
-	// Enqueue; blocking here is backpressure from a full consumer queue.
-	t0 = c.p.Now()
-	ws.st.chans[idx].Send(c.p, delivery{buf: b, sender: ws, target: idx, ackEvery: ackEvery})
-	c.writeBlocked += float64(c.p.Now() - t0)
-	c.emitStallSpan(t0, stream, "write", c.writeStallH)
-
-	ss := c.r.stats.Streams[stream]
-	ss.Buffers++
-	ss.Bytes += int64(b.Size)
-	c.r.stats.Filters[c.ci.name].BuffersOut++
-	if c.o != nil {
-		ws.st.ctrBuffers.Inc()
-		ws.st.ctrBytes.Add(int64(b.Size))
-		c.o.Emit(obs.Event{Kind: obs.KindEnqueue, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: stream, Target: ws.st.hosts[idx], Bytes: b.Size, UOW: c.uow})
-	}
+func (q simQueue) Send(c *exec.CopyCtx, stream string, d exec.Delivery) error {
+	p := c.Env().(*simEnv).p
+	t0 := p.Now()
+	q.ch.Send(p, d)
+	c.StallSpan(stream, "write", float64(t0), float64(p.Now()))
 	return nil
 }
 
-func (c *simCtx) Compute(refSeconds float64) {
+func (q simQueue) Recv(c *exec.CopyCtx, stream string) (exec.Delivery, bool, error) {
+	p := c.Env().(*simEnv).p
+	t0 := p.Now()
+	d, ok := q.ch.Recv(p)
+	c.StallSpan(stream, "read", float64(t0), float64(p.Now()))
+	return d, ok, nil
+}
+
+func (q simQueue) Close()   { q.ch.Close() }
+func (q simQueue) Len() int { return q.ch.Len() }
+
+// simEnv is a copy's simulated execution environment: the sim process it
+// currently runs as, the host CPU behind Compute, and the asynchronous disk
+// reads behind ChargeDisk.
+type simEnv struct {
+	r *engine
+	c *exec.CopyCtx
+	p *sim.Proc
+
+	diskPending     *sim.Chan[struct{}]
+	diskOutstanding int
+}
+
+func (e *simEnv) Compute(refSeconds float64) {
 	if refSeconds <= 0 {
 		return
 	}
-	c.r.cl.Host(c.ci.host).CPU.Compute(c.p, refSeconds)
+	e.r.cl.Host(e.c.Host()).CPU.Compute(e.p, refSeconds)
 }
 
 // ChargeDisk issues a disk read with asynchronous prefetch: up to
 // Options.PrefetchDepth reads stay in flight while the filter computes,
 // modeling the overlapped I/O both real systems rely on. Waiting for a
 // slot counts as read-blocked time. All reads drain before the copy
-// reaches end-of-work.
-func (c *simCtx) ChargeDisk(disk int, bytes int) {
-	depth := c.r.opts.prefetchDepth()
-	host := c.r.cl.Host(c.ci.host)
+// reaches end-of-work (Drain).
+func (e *simEnv) ChargeDisk(disk int, bytes int) {
+	depth := exec.OrDefault(e.r.opts.PrefetchDepth, 4)
+	host := e.r.cl.Host(e.c.Host())
 	if depth <= 1 {
-		host.ReadDisk(c.p, disk, bytes)
+		host.ReadDisk(e.p, disk, bytes)
 		return
 	}
-	if c.diskPending == nil {
-		c.diskPending = sim.NewChan[struct{}](c.p.Kernel(), "prefetch@"+c.ci.host, depth)
+	if e.diskPending == nil {
+		e.diskPending = sim.NewChan[struct{}](e.p.Kernel(), "prefetch@"+e.c.Host(), depth)
 	}
-	for c.diskOutstanding >= depth {
-		t0 := c.p.Now()
-		c.diskPending.Recv(c.p)
-		c.diskOutstanding--
-		c.readBlocked += float64(c.p.Now() - t0)
+	for e.diskOutstanding >= depth {
+		t0 := e.p.Now()
+		e.diskPending.Recv(e.p)
+		e.diskOutstanding--
+		e.c.Stall.Read += float64(e.p.Now() - t0)
 	}
-	done := c.diskPending
-	c.p.Kernel().Spawn("prefetch-io", func(p *sim.Proc) {
+	done := e.diskPending
+	e.p.Kernel().Spawn("prefetch-io", func(p *sim.Proc) {
 		host.ReadDisk(p, disk, bytes)
 		done.Send(p, struct{}{})
 	})
-	c.diskOutstanding++
+	e.diskOutstanding++
 }
 
-// drainDisk waits for in-flight prefetch reads (end of Process).
-func (c *simCtx) drainDisk() {
-	for c.diskOutstanding > 0 {
-		t0 := c.p.Now()
-		c.diskPending.Recv(c.p)
-		c.diskOutstanding--
-		c.readBlocked += float64(c.p.Now() - t0)
+// Drain waits for in-flight prefetch reads (end of Process).
+func (e *simEnv) Drain() {
+	for e.diskOutstanding > 0 {
+		t0 := e.p.Now()
+		e.diskPending.Recv(e.p)
+		e.diskOutstanding--
+		e.c.Stall.Read += float64(e.p.Now() - t0)
 	}
 }
-
-func (c *simCtx) DeclareBuffer(stream string, minBytes, maxBytes int) {
-	st := c.streamRTFor(stream)
-	if minBytes > st.declMin {
-		st.declMin = minBytes
-	}
-	if maxBytes > 0 && (st.declMax == 0 || maxBytes < st.declMax) {
-		st.declMax = maxBytes
-	}
-}
-
-func (c *simCtx) BufferBytes(stream string) int { return c.streamRTFor(stream).bufBytes }
-
-func (c *simCtx) streamRTFor(stream string) *streamRT {
-	if ws, ok := c.writers[stream]; ok {
-		return ws.st
-	}
-	if st, ok := c.inputRT[stream]; ok {
-		return st
-	}
-	panic(fmt.Sprintf("simrt: filter %s references unknown stream %q", c.ci.name, stream))
-}
-
-func (c *simCtx) Host() string     { return c.ci.host }
-func (c *simCtx) CopyIndex() int   { return c.ci.globalIdx }
-func (c *simCtx) TotalCopies() int { return c.ci.total }
-func (c *simCtx) UOW() int         { return c.uow }
-func (c *simCtx) Work() any        { return c.work }
