@@ -187,3 +187,30 @@ func TestReplanDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A peer link feeds only the sessions that were up when it formed. Frames
+// still in a link when their job's session ends or is replaced (the tail of
+// an aborted or rescaled attempt) are dropped, never handed to the
+// successor, whose queues may already be closed.
+func TestPeerFramesBoundToSessionsAtLinkTime(t *testing.T) {
+	old, next := &session{}, &session{}
+	w := &Worker{sessions: map[uint64]*session{7: old}}
+	bound := w.peerSessions()
+	if w.peerSession(7, bound) != old {
+		t.Fatal("frame for the live session was not dispatched to it")
+	}
+	if w.peerSession(8, bound) != nil {
+		t.Fatal("frame for a job without a session was dispatched")
+	}
+	w.sessions[7] = next
+	if w.peerSession(7, bound) != nil {
+		t.Fatal("stale frame was dispatched to the successor session")
+	}
+	if w.peerSession(7, w.peerSessions()) != next {
+		t.Fatal("link formed after the replacement does not feed the successor")
+	}
+	delete(w.sessions, 7)
+	if w.peerSession(7, bound) != nil {
+		t.Fatal("frame was dispatched after its session ended")
+	}
+}

@@ -87,6 +87,7 @@ type ringLink struct {
 	once     sync.Once
 
 	sendMu sync.Mutex
+	bound  map[uint64]*session // dst's sessions when the link formed (Worker.peerSessions)
 }
 
 // newRingLink connects src to an in-process dst and starts the consumer
@@ -94,10 +95,11 @@ type ringLink struct {
 // worker severs it.
 func newRingLink(src, dst *Worker) (*ringLink, error) {
 	rl := &ringLink{
-		src:  src,
-		dst:  dst,
-		ring: exec.NewRing[*frame](ringCap),
-		stop: make(chan struct{}),
+		src:   src,
+		dst:   dst,
+		ring:  exec.NewRing[*frame](ringCap),
+		stop:  make(chan struct{}),
+		bound: dst.peerSessions(),
 	}
 	if !src.trackRing(rl) {
 		return nil, errRingPeerDown
@@ -178,9 +180,7 @@ func (w *Worker) serveRing(rl *ringLink) {
 			m.rxRingFrames.Inc()
 		}
 		w.countRx(f)
-		w.mu.Lock()
-		s := w.sessions[f.Job]
-		w.mu.Unlock()
+		s := w.peerSession(f.Job, rl.bound)
 		if s == nil {
 			continue // stale frame after the job's session ended
 		}

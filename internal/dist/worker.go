@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sort"
@@ -344,25 +345,50 @@ func (w *Worker) handle(c *conn) {
 }
 
 // servePeer pumps data/ack/producer-done frames into their job's session:
-// every frame on the binary plane leads with a job id, so one inbound
-// connection may interleave traffic from many concurrent jobs.
+// every frame on the binary plane leads with a job id. Frames are
+// dispatched only into sessions that were up when the link formed.
 func (w *Worker) servePeer(c *conn) {
 	defer c.close()
+	bound := w.peerSessions()
 	for {
 		f, err := c.recv()
 		if err != nil {
 			return
 		}
 		w.countRx(f)
-		w.mu.Lock()
-		s := w.sessions[f.Job]
-		w.mu.Unlock()
+		s := w.peerSession(f.Job, bound)
 		if s == nil {
 			f.release() // stale frame after the job's session ended
 			continue
 		}
 		s.dispatchPeer(f)
 	}
+}
+
+// peerSessions snapshots the sessions a new inbound peer link may feed. A
+// peer attaches a link only while its job's session here is up (sessions
+// are set up on every host before any unit of work runs), so a frame whose
+// job's session has ended or been replaced since is the tail of an aborted
+// or rescaled attempt, still in the link when the successor session
+// started. Handing it to the successor would feed it buffers it never
+// asked for, possibly after its queues closed.
+func (w *Worker) peerSessions() map[uint64]*session {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return maps.Clone(w.sessions)
+}
+
+// peerSession returns the session a peer frame of job belongs to, or nil
+// when the frame is stale: the job's session ended, or is not the one the
+// link was bound to.
+func (w *Worker) peerSession(job uint64, bound map[uint64]*session) *session {
+	w.mu.Lock()
+	s := w.sessions[job]
+	w.mu.Unlock()
+	if s != bound[job] {
+		return nil
+	}
+	return s
 }
 
 // countRx counts one inbound peer frame, whether or not its session is

@@ -107,8 +107,9 @@ func (r *Raster) shadeVertex(n geom.Vec3) RGB {
 
 // Draw rasterizes one triangle into the target: transform to screen space,
 // clip (triangles reaching behind the eye plane are culled; the screen
-// rectangle clips the rest), shade, and fill with interpolated depth and
-// color. Pixel centers are sampled at (x+0.5, y+0.5).
+// rectangle clips the rest), and fill with interpolated depth and color,
+// shading the vertices once the first pixel is covered. Pixel centers are
+// sampled at (x+0.5, y+0.5).
 func (r *Raster) Draw(t geom.Triangle, out Target) {
 	var sp [3]geom.Vec3
 	for i := 0; i < 3; i++ {
@@ -117,10 +118,6 @@ func (r *Raster) Draw(t geom.Triangle, out Target) {
 			return // behind the eye plane
 		}
 		sp[i] = p
-	}
-	var sc [3]RGB
-	for i := 0; i < 3; i++ {
-		sc[i] = r.shadeVertex(t.N[i])
 	}
 	r.Triangles++
 
@@ -162,6 +159,10 @@ func (r *Raster) Draw(t geom.Triangle, out Target) {
 		return
 	}
 	inv := 1 / area
+	// Most triangles of a dense isosurface cover no pixel center, so the
+	// vertices are shaded only once the first covered pixel is found.
+	var sc [3]RGB
+	shaded := false
 	for y := minY; y <= maxY; y++ {
 		py := float64(y) + 0.5
 		for x := minX; x <= maxX; x++ {
@@ -171,6 +172,12 @@ func (r *Raster) Draw(t geom.Triangle, out Target) {
 			w2 := 1 - w0 - w1
 			if w0 < 0 || w1 < 0 || w2 < 0 {
 				continue
+			}
+			if !shaded {
+				for i := range sc {
+					sc[i] = r.shadeVertex(t.N[i])
+				}
+				shaded = true
 			}
 			depth := float32(w0*float64(sp[0].Z) + w1*float64(sp[1].Z) + w2*float64(sp[2].Z))
 			c := RGB{
