@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"datacutter/internal/exec"
+	"datacutter/internal/leakcheck"
 	"datacutter/internal/obs"
 )
 
@@ -136,5 +139,54 @@ func TestDialRetryCancelAlreadyClosed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "cancelled after 1 attempts") {
 		t.Fatalf("want cancellation after exactly 1 attempt, got: %v", err)
+	}
+}
+
+// closedLink is a peer link that only records its closing.
+type closedLink struct{ closed bool }
+
+func (l *closedLink) send(*frame) error { return nil }
+func (l *closedLink) close()            { l.closed = true }
+
+// Once endSession has closed a session's peer links, a late send from a
+// phase goroutine still draining must not attach a new link: the link and
+// its goroutines would leak until the worker dies. peer refuses without
+// dialling, for a known host and a new one alike.
+func TestPeerRefusedAfterClosePeers(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialled := make(chan bool, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			c.Close()
+		}
+		dialled <- err == nil
+	}()
+
+	old := &closedLink{}
+	s := &session{
+		setup: &setupMsg{Addrs: map[string]string{"a": ln.Addr().String(), "b": ln.Addr().String()}},
+		peers: map[string]peerLink{"a": old},
+		abort: exec.NewAbort(),
+	}
+	s.closePeers()
+	if !old.closed {
+		t.Fatal("closePeers left a link open")
+	}
+	for _, host := range []string{"a", "b"} {
+		if _, err := s.peer(host); !errors.Is(err, errPeersClosed) {
+			t.Fatalf("peer(%q) after closePeers: err = %v, want errPeersClosed", host, err)
+		}
+	}
+	if len(s.peers) != 1 || s.peers["a"] != old {
+		t.Fatalf("peers changed after closePeers: %v", s.peers)
+	}
+	ln.Close()
+	if <-dialled {
+		t.Fatal("peer dialled after closePeers")
 	}
 }

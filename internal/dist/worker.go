@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"net"
@@ -582,6 +583,9 @@ type session struct {
 
 	peersMu sync.Mutex
 	peers   map[string]peerLink
+	// peersClosed is set by closePeers: a teardown has begun, so peer
+	// attaches no new link (it would leak until the worker dies).
+	peersClosed bool
 
 	// abort holds the session's first failure. When it was a transport
 	// error talking to a peer, failHost/failNet (guarded by failMu)
@@ -668,9 +672,15 @@ func (s *session) failFrame(err error) *frame {
 	return f
 }
 
+// errPeersClosed is peer's answer once the session's teardown has closed
+// its links. It says nothing about the network path to the host, so callers
+// do not attribute it through failTransport.
+var errPeersClosed = errors.New("dist: session is closing; no new peer links")
+
 func (s *session) closePeers() {
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
+	s.peersClosed = true
 	for _, c := range s.peers {
 		c.close()
 	}
@@ -689,6 +699,9 @@ func (s *session) closePeers() {
 func (s *session) peer(host string) (peerLink, error) {
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
+	if s.peersClosed {
+		return nil, errPeersClosed
+	}
 	if c, ok := s.peers[host]; ok {
 		return c, nil
 	}
@@ -906,7 +919,9 @@ func (s *session) Port(c *exec.CopyCtx, out *exec.Output) exec.Port {
 		}
 		peer, err := s.peer(host)
 		if err != nil {
-			s.failTransport(host, err)
+			if !errors.Is(err, errPeersClosed) {
+				s.failTransport(host, err)
+			}
 			return core.ErrCancelled
 		}
 		// The payload is serialized by the conn via the codec registry (fast
@@ -959,6 +974,9 @@ func (s *session) EndOfWork(c *exec.CopyCtx, st *exec.Stream) {
 			continue
 		}
 		p, err := s.peer(host)
+		if errors.Is(err, errPeersClosed) {
+			return // the session is ending; no consumer waits for the marker
+		}
 		if err == nil {
 			err = p.send(&frame{Kind: kindProducerDone, Job: s.job, UOWIdx: c.UOW(), Stream: st.Spec.Name})
 		}

@@ -16,7 +16,7 @@ import (
 // are reconstructed worker-side (a synthetic field from its seed, or an
 // on-disk store from its directory).
 
-// FieldREParams parameterizes a ReadExtractFilter over a synthetic field
+// FieldREParams parameterizes the RE Stage over a synthetic field
 // source for distributed runs.
 type FieldREParams struct {
 	Seed       int64
@@ -25,7 +25,7 @@ type FieldREParams struct {
 	BX, BY, BZ int
 }
 
-// StoreREParams parameterizes a ReadExtractFilter over an on-disk store.
+// StoreREParams parameterizes the RE Stage over an on-disk store.
 // Readahead/ReadaheadBytes configure chunk prefetching along the copy's
 // planned read order; Mmap switches the store to memory-mapped reads.
 // Pushdown/Pred enable near-storage predicate pruning: the params travel in
@@ -69,7 +69,7 @@ func init() {
 			return nil, fmt.Errorf("isoviz: bad RE-field params: %w", err)
 		}
 		src := NewFieldSource(volume.NewPlumeField(p.Seed, p.Plumes), p.GX, p.GY, p.GZ, p.BX, p.BY, p.BZ)
-		return &ReadExtractFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles}, nil
+		return &Stage{From: Read, To: Extract, Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles}, nil
 	})
 	dist.RegisterFilter(KindREStore, func(params []byte) (core.Filter, error) {
 		var p StoreREParams
@@ -86,16 +86,16 @@ func init() {
 			}
 		}
 		src := &StoreSource{St: st, Readahead: p.Readahead, ReadaheadBytes: p.ReadaheadBytes}
-		return &ReadExtractFilter{
-			Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles,
+		return &Stage{
+			From: Read, To: Extract, Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles,
 			Pushdown: p.Pushdown, Pred: p.Pred,
 		}, nil
 	})
 	dist.RegisterFilter(KindRasterAP, func([]byte) (core.Filter, error) {
-		return &RasterAPFilter{In: StreamTriangles, Out: StreamPixels}, nil
+		return &Stage{From: Raster, To: Raster, In: StreamTriangles, Out: StreamPixels, Alg: ActivePixel}, nil
 	})
 	dist.RegisterFilter(KindRasterZB, func([]byte) (core.Filter, error) {
-		return &RasterZFilter{In: StreamTriangles, Out: StreamPixels}, nil
+		return &Stage{From: Raster, To: Raster, In: StreamTriangles, Out: StreamPixels, Alg: ZBuffer}, nil
 	})
 	dist.RegisterFilter(KindMerge, func([]byte) (core.Filter, error) {
 		return &MergeFilter{In: StreamPixels}, nil

@@ -21,46 +21,232 @@ func viewOf(ctx core.Ctx) (View, error) {
 	return v, nil
 }
 
-// ---- Read filter (R) ----
+// Stage is the real producer filter: it runs the contiguous steps From..To
+// of Read < Extract < Raster, so every decomposition of the application
+// (paper Figure 3) is a choice of step ranges.
+//
+// Input comes from From: with From == Read the stage retrieves the chunks
+// Assign gives its copy (after pushdown pruning, in planned order),
+// otherwise it reads VoxelBlock (Extract) or TriBatch (Raster) buffers from
+// In. Output comes from To: one voxel buffer per chunk (Read), triangle
+// batches packed to the stream buffer size (Extract), or the rendered
+// result (Raster): the whole z-buffer frame at end of work, or winning
+// pixels streamed as the WPA fills. Every stage flushes its pending
+// triangles or winning pixels at the end of each input unit, an input
+// buffer or a chunk read (paper §3.1.1, §3.1.2).
+type Stage struct {
+	From, To Step
 
-// ReadFilter retrieves the chunks assigned to this copy and writes each as
-// one buffer on its output stream. With Pushdown set, the view's iso-value
-// (and the optional Pred) is evaluated against the source's chunk summaries
-// first, so provably contribution-free chunks are never read.
-type ReadFilter struct {
-	core.BaseFilter
+	// Storage side, used when From == Read. With Pushdown set, the view's
+	// iso-value (and the optional Pred) is evaluated against the source's
+	// chunk summaries first, so provably contribution-free chunks are never
+	// read.
 	Source   ChunkSource
 	Assign   Assign
-	Out      string // output stream (StreamVoxels in the standard graphs)
 	Pushdown bool
-	Pred     dataset.Predicate // extra constraint ANDed with the view's
+	Pred     dataset.Predicate
+
+	In, Out string
+	Alg     Algorithm // hidden-surface scheme, used when To == Raster
+
+	// Bands > 0 partitions the screen into horizontal bands (see
+	// PartitionedSpec): a stage ending in Extract routes each triangle to
+	// the band streams TriBandStream(i) instead of Out, and a stage ending
+	// in Raster renders only band Band.
+	Bands, Band int
+
+	// z is a z-buffer raster stage's accumulator, allocated per unit of
+	// work in Init and released in Finalize (paper §3.1.2).
+	z *render.ZBuffer
 }
 
 // SetObserver implements core.ObserverSetter (near-storage metrics).
-func (f *ReadFilter) SetObserver(o *obs.Observer) { forwardObserver(f.Source, o) }
+func (s *Stage) SetObserver(o *obs.Observer) {
+	if s.From == Read {
+		forwardObserver(s.Source, o)
+	}
+}
 
-// Process implements core.Filter.
-func (f *ReadFilter) Process(ctx core.Ctx) error {
+// Init implements core.Filter. A raster stage discloses the buffer sizes it
+// wants: large ones for the z-buffer frame dump, small ones for the WPA
+// (paper §2: filters disclose buffer bounds, the runtime picks the size).
+func (s *Stage) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
 	}
-	chunks := pruneChunks(f.Source, f.Assign(ctx), view, f.Pred, f.Pushdown)
-	load, stop := planLoad(f.Source, chunks, view.Timestep)
-	defer stop()
-	for _, chunk := range chunks {
-		v, err := load(chunk, view.Timestep)
-		if err != nil {
-			return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
-		}
-		if err := ctx.Write(f.Out, core.Buffer{Payload: VoxelBlock{V: v}, Size: v.Bytes()}); err != nil {
-			return err
+	if s.To == Raster {
+		declareRasterOut(ctx, s.Alg, s.Out)
+		if s.Alg == ZBuffer {
+			s.z = render.NewZBuffer(view.Width, view.Height)
 		}
 	}
 	return nil
 }
 
-// ---- Extract filter (E) ----
+// Finalize implements core.Filter.
+func (s *Stage) Finalize(core.Ctx) error {
+	s.z = nil
+	return nil
+}
+
+func declareRasterOut(ctx core.Ctx, alg Algorithm, out string) {
+	if alg == ZBuffer {
+		ctx.DeclareBuffer(out, ZFrameBufferBytes, 0)
+	} else {
+		ctx.DeclareBuffer(out, 0, WPABufferBytes)
+	}
+}
+
+// Process implements core.Filter.
+func (s *Stage) Process(ctx core.Ctx) error {
+	view, err := viewOf(ctx)
+	if err != nil {
+		return err
+	}
+	r, err := s.start(ctx, view)
+	if err != nil {
+		return err
+	}
+	if s.From == Read {
+		chunks := pruneChunks(s.Source, s.Assign(ctx), view, s.Pred, s.Pushdown)
+		load, stop := planLoad(s.Source, chunks, view.Timestep)
+		defer stop()
+		for _, chunk := range chunks {
+			v, err := load(chunk, view.Timestep)
+			if err != nil {
+				return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
+			}
+			if err := r.volume(v); err != nil {
+				return err
+			}
+		}
+		return r.end()
+	}
+	for {
+		b, ok := ctx.Read(s.In)
+		if !ok {
+			return r.end()
+		}
+		vb, isVoxels := b.Payload.(VoxelBlock)
+		tb, isTris := b.Payload.(TriBatch)
+		switch {
+		case s.From == Extract && isVoxels:
+			err = r.volume(vb.V)
+		case s.From == Raster && isTris:
+			r.rr.DrawAll(tb.Tris, r.target)
+			err = r.flush()
+		default:
+			return fmt.Errorf("isoviz: stage %v..%v got %T", s.From, s.To, b.Payload)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// stageRun is the output side of one Process call, chosen by To.
+type stageRun struct {
+	*Stage
+	ctx  core.Ctx
+	view View
+	emit func(geom.Triangle) // per-triangle sink of extraction
+	err  error               // first write error of emit or a WPA flush
+
+	packers []*triPacker // To == Extract: Out, or one per band
+	m       geom.Mat4    // routing projection, when Bands > 0
+
+	rr     *render.Raster // To == Raster
+	target render.Target
+	ap     *render.ActivePixels
+}
+
+func (s *Stage) start(ctx core.Ctx, view View) (*stageRun, error) {
+	if s.From > s.To {
+		return nil, fmt.Errorf("isoviz: stage runs %v..%v, an empty step range", s.From, s.To)
+	}
+	routes := s.To == Extract && s.Bands > 0
+	if s.Out == "" && !routes {
+		return nil, fmt.Errorf("isoviz: stage %v..%v has no output stream", s.From, s.To)
+	}
+	r := &stageRun{Stage: s, ctx: ctx, view: view}
+	switch {
+	case routes:
+		r.m = view.Camera.Matrix(view.Width, view.Height)
+		for i := 0; i < s.Bands; i++ {
+			r.packers = append(r.packers, newTriPacker(ctx, TriBandStream(i)))
+		}
+		r.emit = func(t geom.Triangle) {
+			if r.err == nil {
+				r.err = r.route(t)
+			}
+		}
+	case s.To == Extract:
+		p := newTriPacker(ctx, s.Out)
+		r.packers = []*triPacker{p}
+		r.emit = func(t geom.Triangle) {
+			if r.err == nil {
+				r.err = p.add(ctx, t)
+			}
+		}
+	case s.To == Raster:
+		r.rr = render.NewRaster(view.Camera, view.Width, view.Height)
+		if s.Bands > 0 {
+			r.rr.SetScissor(render.Band(view.Height, s.Bands, s.Band))
+		}
+		if s.Alg == ZBuffer {
+			r.target = s.z
+		} else {
+			// Sized here, not in Init: buffer sizes resolve after Init.
+			r.ap = render.NewActivePixels(view.Width, view.Height, ctx.BufferBytes(s.Out)/render.PixelBytes, func(px []render.Pixel) {
+				if r.err == nil {
+					batch := PixBatch{Pixels: append([]render.Pixel(nil), px...)}
+					r.err = ctx.Write(s.Out, core.Buffer{Payload: batch, Size: batch.Bytes()})
+				}
+			})
+			r.target = r.ap
+		}
+		rr, target := r.rr, r.target
+		r.emit = func(t geom.Triangle) { rr.Draw(t, target) }
+	}
+	return r, nil
+}
+
+// volume runs one chunk through the stage: a stage ending in Read ships it
+// as one buffer, the others extract its triangles into emit.
+func (r *stageRun) volume(v *volume.Volume) error {
+	if r.To == Read {
+		return r.ctx.Write(r.Out, core.Buffer{Payload: VoxelBlock{V: v}, Size: v.Bytes()})
+	}
+	mcubes.Walk(v, r.view.Iso, r.emit)
+	return r.flush()
+}
+
+// flush ends an input unit: pending triangle batches and the WPA ship now,
+// which keeps the pipeline busy. A z-buffer waits for end of work.
+func (r *stageRun) flush() error {
+	if r.err != nil {
+		return r.err
+	}
+	for _, p := range r.packers {
+		if err := p.flush(r.ctx); err != nil {
+			return err
+		}
+	}
+	if r.ap != nil {
+		r.ap.FlushRemaining()
+	}
+	return r.err
+}
+
+// end runs at the end-of-work marker: a z-buffer stage (z set in Init)
+// enters the pixel merging phase.
+func (r *stageRun) end() error {
+	if r.z != nil {
+		return sendZBuffer(r.ctx, r.z, r.Out)
+	}
+	return nil
+}
 
 // triPacker accumulates extracted triangles and emits fixed-size buffers:
 // when the batch reaches the stream's buffer size or an input buffer has
@@ -98,66 +284,6 @@ func (p *triPacker) flush(ctx core.Ctx) error {
 	return ctx.Write(p.out, core.Buffer{Payload: b, Size: b.Bytes()})
 }
 
-// extractBlock runs isosurface extraction on one chunk, feeding the packer.
-func extractBlock(ctx core.Ctx, v *volume.Volume, iso float32, p *triPacker) error {
-	var werr error
-	mcubes.Walk(v, iso, func(t geom.Triangle) {
-		if werr == nil {
-			werr = p.add(ctx, t)
-		}
-	})
-	return werr
-}
-
-// ExtractFilter turns voxel chunks into triangle batches via marching
-// cubes. Voxels are independent, so any number of transparent copies may
-// run (paper §3.1.1).
-type ExtractFilter struct {
-	core.BaseFilter
-	In, Out string
-}
-
-// Process implements core.Filter.
-func (f *ExtractFilter) Process(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	packer := newTriPacker(ctx, f.Out)
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			return nil
-		}
-		vb, ok := b.Payload.(VoxelBlock)
-		if !ok {
-			return fmt.Errorf("isoviz: extract got %T", b.Payload)
-		}
-		if err := extractBlock(ctx, vb.V, view.Iso, packer); err != nil {
-			return err
-		}
-		// End of input buffer: send what we have (keeps the pipeline busy).
-		if err := packer.flush(ctx); err != nil {
-			return err
-		}
-	}
-}
-
-// ---- Raster filter (Ra), z-buffer variant ----
-
-// zbufState is the per-unit-of-work accumulator of a z-buffer raster copy.
-type zbufState struct {
-	z  *render.ZBuffer
-	rr *render.Raster
-}
-
-func newZbufState(view View) *zbufState {
-	return &zbufState{
-		z:  render.NewZBuffer(view.Width, view.Height),
-		rr: render.NewRaster(view.Camera, view.Width, view.Height),
-	}
-}
-
 // sendZBuffer ships the full z-buffer in fixed-size chunks on out. This is
 // the pixel-merging phase of the z-buffer algorithm: it happens only after
 // the end-of-work marker, the synchronization point that stalls the
@@ -182,105 +308,6 @@ func sendZBuffer(ctx core.Ctx, z *render.ZBuffer, out string) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// RasterZFilter renders triangle batches into a private full z-buffer and
-// transmits the whole buffer at end-of-work.
-type RasterZFilter struct {
-	In, Out string
-	st      *zbufState
-}
-
-// Init implements core.Filter: the z-buffer is allocated and initialized
-// per unit of work (paper §3.1.2). The filter discloses that it wants large
-// buffers for the frame dump; the WPA variant instead asks for small ones
-// (paper §2: filters disclose buffer bounds, the runtime picks the size).
-func (f *RasterZFilter) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
-	f.st = newZbufState(view)
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *RasterZFilter) Process(ctx core.Ctx) error {
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			// End-of-work marker received: enter the pixel merging phase.
-			return sendZBuffer(ctx, f.st.z, f.Out)
-		}
-		tb, ok := b.Payload.(TriBatch)
-		if !ok {
-			return fmt.Errorf("isoviz: raster got %T", b.Payload)
-		}
-		f.st.rr.DrawAll(tb.Tris, f.st.z)
-	}
-}
-
-// Finalize implements core.Filter.
-func (f *RasterZFilter) Finalize(core.Ctx) error {
-	f.st = nil // release the frame (paper: finalize frees scratch space)
-	return nil
-}
-
-// ---- Raster filter (Ra), active pixel variant ----
-
-// RasterAPFilter renders triangle batches through the Active Pixel
-// algorithm: winning pixels stream to the merge filter in fixed-size
-// batches while rasterization continues, overlapping raster and merge with
-// no synchronization point (paper §3.1.2).
-type RasterAPFilter struct {
-	In, Out string
-
-	view View
-	st   *apState
-}
-
-// Init implements core.Filter. Buffer sizes resolve after the init phase,
-// so the WPA itself is sized lazily on the first Process call.
-func (f *RasterAPFilter) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
-	f.view = view
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *RasterAPFilter) Process(ctx core.Ctx) error {
-	f.st = newAPState(ctx, f.view, f.Out)
-	f.st.ctx = ctx
-	defer func() { f.st.ctx = nil }()
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			f.st.ap.FlushRemaining()
-			return f.st.werr
-		}
-		tb, ok := b.Payload.(TriBatch)
-		if !ok {
-			return fmt.Errorf("isoviz: raster got %T", b.Payload)
-		}
-		f.st.rr.DrawAll(tb.Tris, f.st.ap)
-		// All triangles of this input buffer processed: ship the WPA
-		// (paper §3.1.2).
-		f.st.ap.FlushRemaining()
-		if f.st.werr != nil {
-			return f.st.werr
-		}
-	}
-}
-
-// Finalize implements core.Filter.
-func (f *RasterAPFilter) Finalize(core.Ctx) error {
-	f.st = nil
 	return nil
 }
 

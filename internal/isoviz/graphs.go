@@ -2,6 +2,7 @@ package isoviz
 
 import (
 	"fmt"
+	"strings"
 
 	"datacutter/internal/core"
 	"datacutter/internal/dataset"
@@ -23,6 +24,29 @@ func (a Algorithm) String() string {
 	return "Active Pixel"
 }
 
+// Step is one step of the application's producer side. A filter runs a
+// contiguous range of steps (see Stage); the merge M always follows.
+type Step int
+
+// The producer steps in pipeline order.
+const (
+	Read    Step = iota // R: retrieve volume chunks
+	Extract             // E: marching-cubes isosurface extraction
+	Raster              // Ra: render triangles (z-buffer or active pixel)
+)
+
+func (s Step) String() string {
+	switch s {
+	case Read:
+		return "R"
+	case Extract:
+		return "E"
+	case Raster:
+		return "Ra"
+	}
+	return fmt.Sprintf("Step(%d)", int(s))
+}
+
 // Config selects the filter decomposition (paper Figure 3 plus the fully
 // split baseline pipeline).
 type Config int
@@ -39,32 +63,62 @@ const (
 	ExtractRaster
 )
 
-func (c Config) String() string {
-	switch c {
-	case FullPipeline:
-		return "R-E-Ra-M"
-	case CombinedAll:
-		return "RERa-M"
-	case ReadExtract:
-		return "RE-Ra-M"
-	case ExtractRaster:
-		return "R-ERa-M"
+// stageDef is one producer filter of a decomposition: its name, the steps
+// it runs, and the streams it reads (From > Read) and writes.
+type stageDef struct {
+	name     string
+	from, to Step
+	in, out  string
+}
+
+// stepTable is the decomposition of each Config. Each cut only decides
+// which consecutive steps share a filter; the graphs of both engines, the
+// config's name and its placement roles all derive from it.
+var stepTable = [...][]stageDef{
+	FullPipeline: {
+		{"R", Read, Read, "", StreamVoxels},
+		{"E", Extract, Extract, StreamVoxels, StreamTriangles},
+		{"Ra", Raster, Raster, StreamTriangles, StreamPixels},
+	},
+	CombinedAll: {
+		{"RERa", Read, Raster, "", StreamPixels},
+	},
+	ReadExtract: {
+		{"RE", Read, Extract, "", StreamTriangles},
+		{"Ra", Raster, Raster, StreamTriangles, StreamPixels},
+	},
+	ExtractRaster: {
+		{"R", Read, Read, "", StreamVoxels},
+		{"ERa", Extract, Raster, StreamVoxels, StreamPixels},
+	},
+}
+
+// stages returns the config's producer filters in pipeline order (nil for
+// an unknown config).
+func (c Config) stages() []stageDef {
+	if c < 0 || int(c) >= len(stepTable) {
+		return nil
 	}
-	return fmt.Sprintf("Config(%d)", int(c))
+	return stepTable[c]
+}
+
+func (c Config) String() string {
+	defs := c.stages()
+	if defs == nil {
+		return fmt.Sprintf("Config(%d)", int(c))
+	}
+	names := make([]string, 0, len(defs)+1)
+	for _, d := range defs {
+		names = append(names, d.name)
+	}
+	return strings.Join(append(names, "M"), "-")
 }
 
 // SourceFilter returns the name of the filter that reads storage in this
 // configuration (the one whose placement should cover the data nodes).
 func (c Config) SourceFilter() string {
-	switch c {
-	case FullPipeline:
-		return "R"
-	case CombinedAll:
-		return "RERa"
-	case ReadExtract:
-		return "RE"
-	case ExtractRaster:
-		return "R"
+	if defs := c.stages(); defs != nil {
+		return defs[0].name
 	}
 	return ""
 }
@@ -72,13 +126,33 @@ func (c Config) SourceFilter() string {
 // WorkerFilter returns the name of the compute-heavy filter whose copies
 // absorb raster load ("" when it is fused into the source filter).
 func (c Config) WorkerFilter() string {
-	switch c {
-	case FullPipeline, ReadExtract:
-		return "Ra"
-	case ExtractRaster:
-		return "ERa"
+	if defs := c.stages(); len(defs) > 1 {
+		return defs[len(defs)-1].name
 	}
 	return ""
+}
+
+// buildGraph lays out the config's step table as a graph: one filter per
+// stage, made by stage, each feeding the next, and the merge filter "M"
+// last.
+func buildGraph(c Config, stage func(stageDef) core.Filter, merge core.FilterFactory) *core.Graph {
+	defs := c.stages()
+	if defs == nil {
+		panic("isoviz: unknown config")
+	}
+	g := core.NewGraph()
+	for _, d := range defs {
+		g.AddFilter(d.name, func() core.Filter { return stage(d) })
+	}
+	for i, d := range defs {
+		to := "M"
+		if i+1 < len(defs) {
+			to = defs[i+1].name
+		}
+		g.Connect(d.name, to, d.out)
+	}
+	g.AddFilter("M", merge)
+	return g
 }
 
 // PipelineSpec assembles an isosurface rendering graph.
@@ -100,58 +174,12 @@ type PipelineSpec struct {
 // Build constructs the filter graph for the spec. The merge filter is
 // always named "M" and each graph's streams use the Stream* constants.
 func (s PipelineSpec) Build() *core.Graph {
-	g := core.NewGraph()
-	switch s.Config {
-	case FullPipeline:
-		g.AddFilter("R", func() core.Filter {
-			return &ReadFilter{Source: s.Source, Assign: s.Assign, Out: StreamVoxels, Pushdown: s.Pushdown, Pred: s.Pred}
-		})
-		g.AddFilter("E", func() core.Filter {
-			return &ExtractFilter{In: StreamVoxels, Out: StreamTriangles}
-		})
-		g.AddFilter("Ra", s.rasterFactory(StreamTriangles))
-		g.Connect("R", "E", StreamVoxels)
-		g.Connect("E", "Ra", StreamTriangles)
-		g.Connect("Ra", "M", StreamPixels)
-	case CombinedAll:
-		g.AddFilter("RERa", func() core.Filter {
-			if s.Alg == ZBuffer {
-				return &ReadExtractRasterZFilter{Source: s.Source, Assign: s.Assign, Out: StreamPixels, Pushdown: s.Pushdown, Pred: s.Pred}
-			}
-			return &ReadExtractRasterAPFilter{Source: s.Source, Assign: s.Assign, Out: StreamPixels, Pushdown: s.Pushdown, Pred: s.Pred}
-		})
-		g.Connect("RERa", "M", StreamPixels)
-	case ReadExtract:
-		g.AddFilter("RE", func() core.Filter {
-			return &ReadExtractFilter{Source: s.Source, Assign: s.Assign, Out: StreamTriangles, Pushdown: s.Pushdown, Pred: s.Pred}
-		})
-		g.AddFilter("Ra", s.rasterFactory(StreamTriangles))
-		g.Connect("RE", "Ra", StreamTriangles)
-		g.Connect("Ra", "M", StreamPixels)
-	case ExtractRaster:
-		g.AddFilter("R", func() core.Filter {
-			return &ReadFilter{Source: s.Source, Assign: s.Assign, Out: StreamVoxels, Pushdown: s.Pushdown, Pred: s.Pred}
-		})
-		g.AddFilter("ERa", func() core.Filter {
-			if s.Alg == ZBuffer {
-				return &ExtractRasterZFilter{In: StreamVoxels, Out: StreamPixels}
-			}
-			return &ExtractRasterAPFilter{In: StreamVoxels, Out: StreamPixels}
-		})
-		g.Connect("R", "ERa", StreamVoxels)
-		g.Connect("ERa", "M", StreamPixels)
-	default:
-		panic("isoviz: unknown config")
-	}
-	g.AddFilter("M", func() core.Filter { return &MergeFilter{In: StreamPixels} })
-	return g
-}
-
-func (s PipelineSpec) rasterFactory(in string) core.FilterFactory {
-	if s.Alg == ZBuffer {
-		return func() core.Filter { return &RasterZFilter{In: in, Out: StreamPixels} }
-	}
-	return func() core.Filter { return &RasterAPFilter{In: in, Out: StreamPixels} }
+	return buildGraph(s.Config, func(d stageDef) core.Filter {
+		return &Stage{
+			From: d.from, To: d.to, In: d.in, Out: d.out, Alg: s.Alg,
+			Source: s.Source, Assign: s.Assign, Pushdown: s.Pushdown, Pred: s.Pred,
+		}
+	}, func() core.Filter { return &MergeFilter{In: StreamPixels} })
 }
 
 // MergeResult retrieves the merge filter (and so the final image) from a

@@ -35,39 +35,120 @@ type MZPix struct{ Pixels int }
 // of `Entries` winning pixels.
 type MAPix struct{ Entries int }
 
-// ModelRead mirrors ReadFilter: disk time per chunk plus buffer-management
-// CPU, then one buffer per chunk.
-type ModelRead struct {
+// modelStage is the model twin of Stage: it runs the steps From..To and
+// charges, per input unit, each step's cost in pipeline order as one
+// Compute, then emits what the real stage would. A stage ending in Extract
+// instead charges triangle generation as its buffers fill.
+type modelStage struct {
 	core.BaseFilter
-	W      *Workload
-	Dist   *dataset.Distribution
-	Assign Assign
-	Out    string
-	Costs  CostModel
+	From, To Step
+	In, Out  string
+	Alg      Algorithm
+	W        *Workload
+	Dist     *dataset.Distribution
+	Assign   Assign
+	Costs    CostModel
+
+	pxPerTri float64
 }
 
-func (f *ModelRead) diskOf(chunk int) int {
+func (f *modelStage) diskOf(chunk int) int {
 	if f.Dist == nil {
 		return 0
 	}
 	return dataset.DiskOfChunk(f.W.DS, f.Dist, chunk).Disk
 }
 
-// Process implements core.Filter.
-func (f *ModelRead) Process(ctx core.Ctx) error {
+// Init implements core.Filter.
+func (f *modelStage) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
 	}
-	for _, chunk := range f.Assign(ctx) {
-		st := f.W.Stats(chunk, view.Timestep)
-		ctx.ChargeDisk(f.diskOf(chunk), st.Bytes)
-		ctx.Compute(float64(st.Bytes) * f.Costs.ReadCPUPerByte)
-		if err := ctx.Write(f.Out, core.Buffer{Payload: MChunk{Chunk: chunk, Stats: st}, Size: st.Bytes}); err != nil {
-			return err
-		}
+	if f.To == Raster {
+		f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
+		declareRasterOut(ctx, f.Alg, f.Out)
 	}
 	return nil
+}
+
+// Process implements core.Filter.
+func (f *modelStage) Process(ctx core.Ctx) error {
+	view, err := viewOf(ctx)
+	if err != nil {
+		return err
+	}
+	var em *modelTriEmitter
+	var ap *modelAPEmitter
+	switch {
+	case f.To == Extract:
+		em = newModelTriEmitter(ctx, f.Out)
+	case f.To == Raster && f.Alg == ActivePixel:
+		ap = newModelAPEmitter(ctx, f.Out)
+	}
+	// unit charges one input unit: chunk mc, or tris triangles when the
+	// stage starts at Raster, after cost already spent reading it.
+	unit := func(mc MChunk, tris int, cost float64) error {
+		switch f.To {
+		case Read:
+			ctx.Compute(cost)
+			return ctx.Write(f.Out, core.Buffer{Payload: mc, Size: mc.Stats.Bytes})
+		case Extract:
+			cellCost, perTri := splitExtractCost(f.Costs, mc.Stats)
+			ctx.Compute(cost + cellCost)
+			if err := em.add(ctx, tris, perTri); err != nil {
+				return err
+			}
+			return em.flush(ctx)
+		}
+		if f.From <= Extract {
+			cost += f.Costs.ExtractSeconds(mc.Stats.Cells, tris)
+		}
+		cost += f.Costs.RasterSeconds(tris, f.pxPerTri)
+		ctx.Compute(cost)
+		if ap == nil {
+			return nil
+		}
+		if err := ap.add(ctx, float64(tris)*f.pxPerTri*f.Costs.APDedupFactor); err != nil {
+			return err
+		}
+		return ap.flushInput(ctx)
+	}
+
+	if f.From == Read {
+		for _, chunk := range f.Assign(ctx) {
+			st := f.W.Stats(chunk, view.Timestep)
+			ctx.ChargeDisk(f.diskOf(chunk), st.Bytes)
+			if err := unit(MChunk{Chunk: chunk, Stats: st}, st.Tris, float64(st.Bytes)*f.Costs.ReadCPUPerByte); err != nil {
+				return err
+			}
+		}
+	} else {
+		for {
+			b, ok := ctx.Read(f.In)
+			if !ok {
+				break
+			}
+			mc, isChunk := b.Payload.(MChunk)
+			mt, isTris := b.Payload.(MTris)
+			switch {
+			case f.From == Extract && isChunk:
+				err = unit(mc, mc.Stats.Tris, 0)
+			case f.From == Raster && isTris:
+				err = unit(MChunk{}, mt.Count, 0)
+			default:
+				return fmt.Errorf("isoviz: model stage %v..%v got %T", f.From, f.To, b.Payload)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+
+	if f.To == Raster && f.Alg == ZBuffer {
+		return emitModelZFrame(ctx, view, f.Out)
+	}
+	return nil // every unit already flushed its winning pixels
 }
 
 // modelTriEmitter packs modeled triangles into stream buffers with the
@@ -120,36 +201,6 @@ func (e *modelTriEmitter) flush(ctx core.Ctx) error {
 	n := e.pending
 	e.pending = 0
 	return ctx.Write(e.out, core.Buffer{Payload: b, Size: n * geom.TriangleBytes})
-}
-
-// ModelExtract mirrors ExtractFilter.
-type ModelExtract struct {
-	core.BaseFilter
-	In, Out string
-	Costs   CostModel
-}
-
-// Process implements core.Filter.
-func (f *ModelExtract) Process(ctx core.Ctx) error {
-	em := newModelTriEmitter(ctx, f.Out)
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			return nil
-		}
-		mc, ok := b.Payload.(MChunk)
-		if !ok {
-			return fmt.Errorf("isoviz: model extract got %T", b.Payload)
-		}
-		cellCost, perTri := splitExtractCost(f.Costs, mc.Stats)
-		ctx.Compute(cellCost)
-		if err := em.add(ctx, mc.Stats.Tris, perTri); err != nil {
-			return err
-		}
-		if err := em.flush(ctx); err != nil {
-			return err
-		}
-	}
 }
 
 // modelAPEmitter streams winning-pixel entries like the real WPA: full
@@ -211,71 +262,6 @@ func emitModelZFrame(ctx core.Ctx, view View, out string) error {
 	return nil
 }
 
-// ModelRaster mirrors RasterZFilter / RasterAPFilter depending on Alg.
-type ModelRaster struct {
-	In, Out string
-	Alg     Algorithm
-	W       *Workload
-	Costs   CostModel
-
-	view     View
-	pxPerTri float64
-	ap       *modelAPEmitter
-}
-
-// Init implements core.Filter.
-func (f *ModelRaster) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	f.view = view
-	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	f.declare(ctx)
-	f.ap = nil
-	return nil
-}
-
-func (f *ModelRaster) declare(ctx core.Ctx) {
-	if f.Alg == ZBuffer {
-		ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
-	} else {
-		ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
-	}
-}
-
-// Process implements core.Filter.
-func (f *ModelRaster) Process(ctx core.Ctx) error {
-	if f.Alg == ActivePixel {
-		f.ap = newModelAPEmitter(ctx, f.Out)
-	}
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			if f.Alg == ZBuffer {
-				return emitModelZFrame(ctx, f.view, f.Out)
-			}
-			return f.ap.flushInput(ctx)
-		}
-		mt, ok := b.Payload.(MTris)
-		if !ok {
-			return fmt.Errorf("isoviz: model raster got %T", b.Payload)
-		}
-		ctx.Compute(f.Costs.RasterSeconds(mt.Count, f.pxPerTri))
-		if f.Alg == ActivePixel {
-			if err := f.ap.add(ctx, float64(mt.Count)*f.pxPerTri*f.Costs.APDedupFactor); err != nil {
-				return err
-			}
-			if err := f.ap.flushInput(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// Finalize implements core.Filter.
-func (f *ModelRaster) Finalize(core.Ctx) error { return nil }
-
 // ModelMerge mirrors MergeFilter: per-pixel merge cost while buffers
 // arrive, plus final image generation in Finalize. One copy runs.
 type ModelMerge struct {
@@ -325,39 +311,6 @@ func (f *ModelMerge) Finalize(ctx core.Ctx) error {
 	return nil
 }
 
-// ModelReadExtract mirrors ReadExtractFilter (RE).
-type ModelReadExtract struct {
-	core.BaseFilter
-	W      *Workload
-	Dist   *dataset.Distribution
-	Assign Assign
-	Out    string
-	Costs  CostModel
-}
-
-// Process implements core.Filter.
-func (f *ModelReadExtract) Process(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	rd := &ModelRead{W: f.W, Dist: f.Dist, Costs: f.Costs}
-	em := newModelTriEmitter(ctx, f.Out)
-	for _, chunk := range f.Assign(ctx) {
-		st := f.W.Stats(chunk, view.Timestep)
-		ctx.ChargeDisk(rd.diskOf(chunk), st.Bytes)
-		cellCost, perTri := splitExtractCost(f.Costs, st)
-		ctx.Compute(float64(st.Bytes)*f.Costs.ReadCPUPerByte + cellCost)
-		if err := em.add(ctx, st.Tris, perTri); err != nil {
-			return err
-		}
-		if err := em.flush(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // splitExtractCost divides a chunk's extract cost into the cell-scan part
 // (charged up front) and a per-triangle part (charged as buffers fill).
 func splitExtractCost(c CostModel, st ChunkStats) (cellCost, perTri float64) {
@@ -367,120 +320,6 @@ func splitExtractCost(c CostModel, st ChunkStats) (cellCost, perTri float64) {
 	}
 	return cellCost, perTri
 }
-
-// ModelExtractRaster mirrors ExtractRasterZFilter / ExtractRasterAPFilter
-// (ERa).
-type ModelExtractRaster struct {
-	In, Out string
-	Alg     Algorithm
-	W       *Workload
-	Costs   CostModel
-
-	view     View
-	pxPerTri float64
-	ap       *modelAPEmitter
-}
-
-// Init implements core.Filter.
-func (f *ModelExtractRaster) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	f.view = view
-	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	(&ModelRaster{Alg: f.Alg, Out: f.Out}).declare(ctx)
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *ModelExtractRaster) Process(ctx core.Ctx) error {
-	if f.Alg == ActivePixel {
-		f.ap = newModelAPEmitter(ctx, f.Out)
-	}
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			if f.Alg == ZBuffer {
-				return emitModelZFrame(ctx, f.view, f.Out)
-			}
-			return f.ap.flushInput(ctx)
-		}
-		mc, ok := b.Payload.(MChunk)
-		if !ok {
-			return fmt.Errorf("isoviz: model extract-raster got %T", b.Payload)
-		}
-		st := mc.Stats
-		ctx.Compute(f.Costs.ExtractSeconds(st.Cells, st.Tris) + f.Costs.RasterSeconds(st.Tris, f.pxPerTri))
-		if f.Alg == ActivePixel {
-			if err := f.ap.add(ctx, float64(st.Tris)*f.pxPerTri*f.Costs.APDedupFactor); err != nil {
-				return err
-			}
-			if err := f.ap.flushInput(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// Finalize implements core.Filter.
-func (f *ModelExtractRaster) Finalize(core.Ctx) error { return nil }
-
-// ModelReadExtractRaster mirrors the RERa combined filters.
-type ModelReadExtractRaster struct {
-	Out    string
-	Alg    Algorithm
-	W      *Workload
-	Dist   *dataset.Distribution
-	Assign Assign
-	Costs  CostModel
-
-	view     View
-	pxPerTri float64
-}
-
-// Init implements core.Filter.
-func (f *ModelReadExtractRaster) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	f.view = view
-	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	(&ModelRaster{Alg: f.Alg, Out: f.Out}).declare(ctx)
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *ModelReadExtractRaster) Process(ctx core.Ctx) error {
-	rd := &ModelRead{W: f.W, Dist: f.Dist, Costs: f.Costs}
-	var ap *modelAPEmitter
-	if f.Alg == ActivePixel {
-		ap = newModelAPEmitter(ctx, f.Out)
-	}
-	for _, chunk := range f.Assign(ctx) {
-		st := f.W.Stats(chunk, f.view.Timestep)
-		ctx.ChargeDisk(rd.diskOf(chunk), st.Bytes)
-		ctx.Compute(float64(st.Bytes)*f.Costs.ReadCPUPerByte +
-			f.Costs.ExtractSeconds(st.Cells, st.Tris) +
-			f.Costs.RasterSeconds(st.Tris, f.pxPerTri))
-		if f.Alg == ActivePixel {
-			if err := ap.add(ctx, float64(st.Tris)*f.pxPerTri*f.Costs.APDedupFactor); err != nil {
-				return err
-			}
-			if err := ap.flushInput(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	if f.Alg == ZBuffer {
-		return emitModelZFrame(ctx, f.view, f.Out)
-	}
-	return ap.flushInput(ctx)
-}
-
-// Finalize implements core.Filter.
-func (f *ModelReadExtractRaster) Finalize(core.Ctx) error { return nil }
 
 // ModelSpec assembles a model pipeline graph with the same filter and
 // stream names as PipelineSpec, so placements are interchangeable.
@@ -495,47 +334,10 @@ type ModelSpec struct {
 
 // Build constructs the model graph.
 func (s ModelSpec) Build() *core.Graph {
-	g := core.NewGraph()
-	switch s.Config {
-	case FullPipeline:
-		g.AddFilter("R", func() core.Filter {
-			return &ModelRead{W: s.W, Dist: s.Dist, Assign: s.Assign, Out: StreamVoxels, Costs: s.Costs}
-		})
-		g.AddFilter("E", func() core.Filter {
-			return &ModelExtract{In: StreamVoxels, Out: StreamTriangles, Costs: s.Costs}
-		})
-		g.AddFilter("Ra", func() core.Filter {
-			return &ModelRaster{In: StreamTriangles, Out: StreamPixels, Alg: s.Alg, W: s.W, Costs: s.Costs}
-		})
-		g.Connect("R", "E", StreamVoxels)
-		g.Connect("E", "Ra", StreamTriangles)
-		g.Connect("Ra", "M", StreamPixels)
-	case CombinedAll:
-		g.AddFilter("RERa", func() core.Filter {
-			return &ModelReadExtractRaster{Out: StreamPixels, Alg: s.Alg, W: s.W, Dist: s.Dist, Assign: s.Assign, Costs: s.Costs}
-		})
-		g.Connect("RERa", "M", StreamPixels)
-	case ReadExtract:
-		g.AddFilter("RE", func() core.Filter {
-			return &ModelReadExtract{W: s.W, Dist: s.Dist, Assign: s.Assign, Out: StreamTriangles, Costs: s.Costs}
-		})
-		g.AddFilter("Ra", func() core.Filter {
-			return &ModelRaster{In: StreamTriangles, Out: StreamPixels, Alg: s.Alg, W: s.W, Costs: s.Costs}
-		})
-		g.Connect("RE", "Ra", StreamTriangles)
-		g.Connect("Ra", "M", StreamPixels)
-	case ExtractRaster:
-		g.AddFilter("R", func() core.Filter {
-			return &ModelRead{W: s.W, Dist: s.Dist, Assign: s.Assign, Out: StreamVoxels, Costs: s.Costs}
-		})
-		g.AddFilter("ERa", func() core.Filter {
-			return &ModelExtractRaster{In: StreamVoxels, Out: StreamPixels, Alg: s.Alg, W: s.W, Costs: s.Costs}
-		})
-		g.Connect("R", "ERa", StreamVoxels)
-		g.Connect("ERa", "M", StreamPixels)
-	default:
-		panic("isoviz: unknown config")
-	}
-	g.AddFilter("M", func() core.Filter { return &ModelMerge{In: StreamPixels, Costs: s.Costs} })
-	return g
+	return buildGraph(s.Config, func(d stageDef) core.Filter {
+		return &modelStage{
+			From: d.from, To: d.to, In: d.in, Out: d.out, Alg: s.Alg,
+			W: s.W, Dist: s.Dist, Assign: s.Assign, Costs: s.Costs,
+		}
+	}, func() core.Filter { return &ModelMerge{In: StreamPixels, Costs: s.Costs} })
 }

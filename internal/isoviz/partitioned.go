@@ -5,7 +5,6 @@ import (
 
 	"datacutter/internal/core"
 	"datacutter/internal/geom"
-	"datacutter/internal/mcubes"
 	"datacutter/internal/render"
 )
 
@@ -29,158 +28,57 @@ func PixBandStream(i int) string { return fmt.Sprintf("pix%d", i) }
 // BandFilterName names band i's raster filter.
 func BandFilterName(i int) string { return fmt.Sprintf("Ra%d", i) }
 
-// ReadExtractRouteFilter is the RE stage of the partitioned pipeline: it
-// reads chunks, extracts triangles, and routes each triangle to the bands
-// its screen-space bounding box overlaps (triangles spanning a band border
-// go to both; scissoring keeps the result exact).
-type ReadExtractRouteFilter struct {
-	core.BaseFilter
-	Source ChunkSource
-	Assign Assign
-	Bands  int
-}
-
-// Process implements core.Filter.
-func (f *ReadExtractRouteFilter) Process(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	if f.Bands < 1 {
-		return fmt.Errorf("isoviz: partitioned pipeline needs >= 1 band")
-	}
-	m := view.Camera.Matrix(view.Width, view.Height)
-	packers := make([]*triPacker, f.Bands)
-	for i := range packers {
-		packers[i] = newTriPacker(ctx, TriBandStream(i))
-	}
-
-	route := func(t geom.Triangle) error {
-		minY, maxY := float32(0), float32(0)
-		first := true
-		for _, p := range t.P {
-			sp, w := m.Apply(p)
-			if w <= 0 {
-				return nil // behind the eye: the rasterizer would cull it
-			}
-			if first {
-				minY, maxY = sp.Y, sp.Y
-				first = false
-				continue
-			}
-			if sp.Y < minY {
-				minY = sp.Y
-			}
-			if sp.Y > maxY {
-				maxY = sp.Y
-			}
+// route sends a triangle to every band its screen-space bounding box
+// overlaps (triangles spanning a band border go to both; scissoring keeps
+// the result exact).
+func (r *stageRun) route(t geom.Triangle) error {
+	minY, maxY := float32(0), float32(0)
+	first := true
+	for _, p := range t.P {
+		sp, w := r.m.Apply(p)
+		if w <= 0 {
+			return nil // behind the eye: the rasterizer would cull it
 		}
-		// Generous one-pixel margin: routing a triangle to an extra band
-		// is harmless (its scissor discards it); missing a band would drop
-		// pixels.
-		y0 := int(minY) - 1
-		y1 := int(maxY) + 1
-		if y1 < 0 || y0 > view.Height-1 {
-			return nil // fully off screen: early cull
+		if first {
+			minY, maxY = sp.Y, sp.Y
+			first = false
+			continue
 		}
-		if y0 < 0 {
-			y0 = 0
+		if sp.Y < minY {
+			minY = sp.Y
 		}
-		if y1 > view.Height-1 {
-			y1 = view.Height - 1
-		}
-		b0 := render.BandOf(view.Height, f.Bands, y0)
-		b1 := render.BandOf(view.Height, f.Bands, y1)
-		for b := b0; b <= b1; b++ {
-			if err := packers[b].add(ctx, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	chunks := f.Assign(ctx)
-	load, stop := planLoad(f.Source, chunks, view.Timestep)
-	defer stop()
-	for _, chunk := range chunks {
-		v, err := load(chunk, view.Timestep)
-		if err != nil {
-			return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
-		}
-		var werr error
-		mcubes.Walk(v, view.Iso, func(t geom.Triangle) {
-			if werr == nil {
-				werr = route(t)
-			}
-		})
-		if werr != nil {
-			return werr
-		}
-		for _, p := range packers {
-			if err := p.flush(ctx); err != nil {
-				return err
-			}
+		if sp.Y > maxY {
+			maxY = sp.Y
 		}
 	}
-	return nil
-}
-
-// RasterBandAPFilter rasterizes one screen band with the active-pixel
-// algorithm. Transparent copies of a band filter replicate within the
-// partition (the hybrid's replication axis).
-type RasterBandAPFilter struct {
-	In, Out     string
-	Band, Bands int
-	view        View
-	st          *apState
-}
-
-// Init implements core.Filter.
-func (f *RasterBandAPFilter) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
+	// Generous one-pixel margin: routing a triangle to an extra band is
+	// harmless (its scissor discards it); missing a band would drop pixels.
+	height := r.view.Height
+	y0 := int(minY) - 1
+	y1 := int(maxY) + 1
+	if y1 < 0 || y0 > height-1 {
+		return nil // fully off screen: early cull
 	}
-	ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
-	f.view = view
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *RasterBandAPFilter) Process(ctx core.Ctx) error {
-	f.st = newAPState(ctx, f.view, f.Out)
-	y0, y1 := render.Band(f.view.Height, f.Bands, f.Band)
-	f.st.rr.SetScissor(y0, y1)
-	f.st.ctx = ctx
-	defer func() { f.st.ctx = nil }()
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			f.st.ap.FlushRemaining()
-			return f.st.werr
-		}
-		tb, ok := b.Payload.(TriBatch)
-		if !ok {
-			return fmt.Errorf("isoviz: band raster got %T", b.Payload)
-		}
-		f.st.rr.DrawAll(tb.Tris, f.st.ap)
-		f.st.ap.FlushRemaining()
-		if f.st.werr != nil {
-			return f.st.werr
+	if y0 < 0 {
+		y0 = 0
+	}
+	if y1 > height-1 {
+		y1 = height - 1
+	}
+	b1 := render.BandOf(height, r.Bands, y1)
+	for b := render.BandOf(height, r.Bands, y0); b <= b1; b++ {
+		if err := r.packers[b].add(r.ctx, t); err != nil {
+			return err
 		}
 	}
-}
-
-// Finalize implements core.Filter.
-func (f *RasterBandAPFilter) Finalize(core.Ctx) error {
-	f.st = nil
 	return nil
 }
 
 // PartitionedSpec assembles the hybrid pipeline: RE routes triangles to
 // `Bands` band rasterizers, whose disjoint pixel streams a single merge
 // filter assembles (its per-pixel work no longer grows with the copy
-// count).
+// count). Transparent copies of a band filter replicate within the
+// partition (the hybrid's replication axis).
 type PartitionedSpec struct {
 	Bands  int
 	Source ChunkSource
@@ -192,14 +90,13 @@ type PartitionedSpec struct {
 func (s PartitionedSpec) Build() *core.Graph {
 	g := core.NewGraph()
 	g.AddFilter("RE", func() core.Filter {
-		return &ReadExtractRouteFilter{Source: s.Source, Assign: s.Assign, Bands: s.Bands}
+		return &Stage{From: Read, To: Extract, Source: s.Source, Assign: s.Assign, Bands: s.Bands}
 	})
 	var ins []string
 	for i := 0; i < s.Bands; i++ {
-		i := i
 		name := BandFilterName(i)
 		g.AddFilter(name, func() core.Filter {
-			return &RasterBandAPFilter{In: TriBandStream(i), Out: PixBandStream(i), Band: i, Bands: s.Bands}
+			return &Stage{From: Raster, To: Raster, In: TriBandStream(i), Out: PixBandStream(i), Alg: ActivePixel, Band: i, Bands: s.Bands}
 		})
 		g.Connect("RE", name, TriBandStream(i))
 		g.Connect(name, "M", PixBandStream(i))

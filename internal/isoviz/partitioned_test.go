@@ -129,12 +129,11 @@ func TestPartitionedBadBandCount(t *testing.T) {
 	leakcheck.Check(t)
 	src := testSource()
 	view := testView(32)
-	spec := PartitionedSpec{Bands: 1, Source: src, Assign: AssignByCopy(src.Chunks())}
-	_ = spec
-	// Bands < 1 must surface as a run error.
+	// A routing stage with Bands < 1 has nowhere to send triangles, which
+	// must surface as a run error.
 	g := core.NewGraph()
 	g.AddFilter("RE", func() core.Filter {
-		return &ReadExtractRouteFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Bands: 0}
+		return &Stage{From: Read, To: Extract, Source: src, Assign: AssignByCopy(src.Chunks()), Bands: 0}
 	})
 	pl := core.NewPlacement().Place("RE", "h0", 1)
 	r, _ := core.NewRunner(g, pl, core.Options{UOWs: []any{view}})

@@ -1,16 +1,18 @@
 // Package isoviz implements the paper's case study: the isosurface
 // rendering application decomposed into DataCutter filters.
 //
-// The real filters (filters.go, combined.go) run on either engine with
-// actual data: a read filter (R) retrieves volume chunks, an extract filter
-// (E) runs marching-cubes isosurface extraction, a raster filter (Ra)
-// renders triangles with either the z-buffer or the active-pixel algorithm,
-// and a merge filter (M) composites partial results into the final image
-// (filters such as Ra keep internal state — the accumulator — so a combine
-// stage is required for transparent copying; paper §1, §3).
+// The application has three producer steps: read (R) retrieves volume
+// chunks, extract (E) runs marching-cubes isosurface extraction, and raster
+// (Ra) renders triangles with either the z-buffer or the active-pixel
+// algorithm. A merge filter (M) composites partial results into the final
+// image (filters such as Ra keep internal state — the accumulator — so a
+// combine stage is required for transparent copying; paper §1, §3). Each
+// decomposition (Config) only decides which consecutive steps share a
+// filter; one filter type, Stage (filters.go), runs any step range with
+// actual data on either engine.
 //
-// The model filters (model.go) are workload-statistics twins of the real
-// filters for the simulated engine: they move buffers with the same counts
+// The model stages (model.go) are workload-statistics twins of Stage
+// for the simulated engine: they move buffers with the same counts
 // and sizes and charge calibrated CPU/disk costs instead of doing the math,
 // which is how the paper-scale (25 GB) experiments run in virtual time.
 // Their statistics come from coarse extraction with the real marching-cubes

@@ -93,7 +93,8 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		}
 		var r journalRec
 		if err := json.Unmarshal(line, &r); err != nil {
-			continue // torn tail write; later records would not exist
+			dirty = true // a torn write; compaction drops it
+			continue
 		}
 		switch r.Kind {
 		case "submit":
@@ -129,6 +130,22 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("jobd: sizing journal: %w", err)
 	}
+	size := st.Size()
+	if torn, err := endsTorn(f, size); err != nil || torn {
+		// A crash mid-append left a line without its newline: end it, or
+		// the next record would be glued onto it and lost on replay.
+		if err == nil {
+			_, err = f.Write([]byte{'\n'})
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("jobd: ending torn journal tail: %w", err)
+		}
+		size++
+	}
 	var replay []replayedJob
 	for id, e := range jobs {
 		if e.done {
@@ -140,7 +157,19 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		})
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].ID < replay[j].ID })
-	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: st.Size(), dirty: dirty}, replay, nil
+	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: size, dirty: dirty}, replay, nil
+}
+
+// endsTorn reports whether the log's last byte is not a newline.
+func endsTorn(f *os.File, size int64) (bool, error) {
+	if size == 0 {
+		return false, nil
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, size-1); err != nil {
+		return false, err
+	}
+	return last[0] != '\n', nil
 }
 
 // append writes one record and syncs it to disk; the caller holds the

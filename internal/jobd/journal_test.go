@@ -1,9 +1,12 @@
 package jobd
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -148,4 +151,68 @@ func TestJournalTornTail(t *testing.T) {
 	if len(replay) != 1 || replay[0].ID != 1 {
 		t.Fatalf("replay after torn tail: %+v", replay)
 	}
+}
+
+// FuzzJournalReplay replays arbitrary bytes as a journal. Replay must not
+// panic, must return unique ascending ids and re-encodable specs, and the
+// reopened journal must take an append that a later replay sees, whatever
+// the log held before (a torn tail, duplicated or reordered records).
+func FuzzJournalReplay(f *testing.F) {
+	base := time.Unix(1700000000, 0).UTC()
+	rec := func(r journalRec) []byte {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	sub1 := rec(journalRec{Kind: "submit", ID: 1, Time: base, Spec: testSpec("one")})
+	sub2 := rec(journalRec{Kind: "submit", ID: 2, Time: base, Spec: testSpec("two")})
+	start1 := rec(journalRec{Kind: "start", ID: 1, Time: base})
+	retry2 := rec(journalRec{Kind: "retry", ID: 2, Time: base, Attempt: 1, NotBeforeMS: base.UnixMilli()})
+	done1 := rec(journalRec{Kind: "done", ID: 1, Time: base, OK: true})
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	f.Add([]byte{})
+	f.Add(cat(sub1, sub2, start1, retry2, done1))
+	f.Add(cat(sub1, sub2, start1[:len(start1)/2]))       // torn tail
+	f.Add(cat(sub1, sub1, start1, start1, done1, done1)) // duplicated records
+	f.Add(cat(done1, retry2, start1, sub2, sub1))        // reordered records
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jnl, replay, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := uint64(1)
+		for i, r := range replay {
+			if i > 0 && r.ID <= replay[i-1].ID {
+				t.Fatalf("replayed ids not unique and ascending: %d after %d", r.ID, replay[i-1].ID)
+			}
+			b, err := json.Marshal(r.Spec)
+			if err == nil {
+				err = json.Unmarshal(b, new(JobSpec))
+			}
+			if err != nil {
+				t.Fatalf("job %d: replayed spec does not round-trip: %v", r.ID, err)
+			}
+			next = r.ID + 1
+		}
+		err = jnl.submit(next, base, testSpec("appended"))
+		jnl.close()
+		if err != nil {
+			t.Fatalf("append to the reopened journal: %v", err)
+		}
+		jnl, replay, err = openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl.close()
+		if !slices.ContainsFunc(replay, func(r replayedJob) bool { return r.ID == next && r.Spec.Name == "appended" }) {
+			t.Fatalf("appended job %d lost on the next replay", next)
+		}
+	})
 }
